@@ -27,7 +27,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -37,6 +36,7 @@ import (
 	"sync"
 	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/jobs"
 	"dspaddr/internal/wal"
 )
@@ -66,13 +66,14 @@ const (
 	submitAlwaysRounds = 4
 )
 
-// submitBenchBody is the request every client posts: a realistic
-// pattern-shaped payload so the WAL'd side serializes real bytes.
-var submitBenchBody = []byte(`{"payload": {"pattern": {"offsets": [1, 0, 2, -1, 1, 0, -2]}, "agu": {"registers": 2, "modifyRange": 1}}, "priority": 3}`)
+// submitBenchBody is the request every client posts: the paper's
+// example as a real POST /v1/jobs body, so the WAL'd side serializes
+// the bytes rcaserve would.
+var submitBenchBody = []byte(`{"pattern": {"offsets": [1, 0, 2, -1, 1, 0, -2]}, "agu": {"registers": 2, "modifyRange": 1}, "priority": 3}`)
 
-// submitServer is one side of the comparison: a jobs.Manager with a
-// no-op runner behind a minimal replica of rcaserve's submit route on
-// a loopback listener.
+// submitServer is one side of the comparison: rcaserve's submit path
+// without the engine — the api decoder, entry rule and WAL codecs over
+// a jobs.Manager with a no-op runner — on a loopback listener.
 type submitServer struct {
 	mgr *jobs.Manager
 	srv *http.Server
@@ -93,32 +94,34 @@ func newSubmitServer(dir string, policy wal.FsyncPolicy) (*submitServer, error) 
 			return nil, err
 		}
 		opts.WAL = wlog
-		opts.EncodePayload = func(v any) ([]byte, error) { return json.Marshal(v) }
-		opts.DecodePayload = func(b []byte) (any, error) { return json.RawMessage(b), nil }
-		opts.EncodeResult = func(v any) ([]byte, error) { return json.Marshal(v) }
-		opts.DecodeResult = func(b []byte) (any, error) { return json.RawMessage(b), nil }
+		opts.EncodePayload = api.EncodeRecord
+		opts.DecodePayload = api.DecodeJobPayload
+		opts.EncodeResult = api.EncodeRecord
+		opts.DecodeResult = api.DecodeJobResult
 	}
 	m := jobs.New(opts)
 
-	type submitReq struct {
-		Payload  json.RawMessage `json:"payload"`
-		Priority int             `json:"priority"`
-	}
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var in submitReq
-		if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		var sub api.Submit
+		if _, err := api.DecodeBody(r, &sub); err != nil {
+			api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}
-		ids, err := m.SubmitAll([]any{in.Payload}, in.Priority)
+		entries, err := sub.Entries()
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			api.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(struct { //nolint:errcheck // loopback
-			ID string `json:"id"`
-		}{ids[0]})
+		payloads := make([]any, len(entries))
+		for i, job := range entries {
+			payloads[i] = job
+		}
+		ids, err := m.SubmitAll(payloads, sub.Priority)
+		if err != nil {
+			api.WriteError(w, http.StatusServiceUnavailable, "submission failed: %v", err)
+			return
+		}
+		api.WriteJSON(w, http.StatusAccepted, api.SubmitResponse{ID: ids[0], IDs: ids})
 	})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/faults"
 )
 
@@ -49,7 +50,7 @@ type rearmJSON struct {
 func (s *server) handleDebugSoak(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, http.StatusOK, debugSoakJSON{
+		api.WriteJSON(w, http.StatusOK, debugSoakJSON{
 			Goroutines:    runtime.NumGoroutine(),
 			OpenFDs:       countOpenFDs(),
 			RSSBytes:      readRSSBytes(),
@@ -58,17 +59,17 @@ func (s *server) handleDebugSoak(w http.ResponseWriter, r *http.Request) {
 		})
 	case http.MethodPost:
 		var req rearmJSON
-		if err := decodeBody(r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		if _, err := api.DecodeBody(r, &req); err != nil {
+			api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}
 		if err := s.faults.Rearm(req.Faults); err != nil {
-			writeError(w, http.StatusBadRequest, "bad faults spec: %v", err)
+			api.WriteError(w, http.StatusBadRequest, "bad faults spec: %v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, s.faults.Snapshot())
+		api.WriteJSON(w, http.StatusOK, s.faults.Snapshot())
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "GET or POST only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET or POST only")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/engine"
 	"dspaddr/internal/faults"
 	"dspaddr/internal/jobs"
@@ -57,7 +58,7 @@ func TestDebugSoakReportsAndRearms(t *testing.T) {
 		t.Errorf("rearmed spec %q", st.Spec)
 	}
 	// The engine shares the injector: the next solve must fail injected.
-	var resp jobResponseJSON
+	var resp api.JobResponse
 	status := do(t, ts.URL+"/v1/allocate", `{
 		"pattern": {"offsets": [5, 3, 4]},
 		"agu": {"registers": 1, "modifyRange": 1}

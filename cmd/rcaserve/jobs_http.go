@@ -19,61 +19,15 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/jobs"
 	"dspaddr/internal/obs"
 )
 
-// submitJSON is the POST /v1/jobs request body: either one inline job
-// (the jobJSON fields) or a batch under "jobs" — the same payloads
-// the synchronous endpoints take — plus a scheduling priority.
-type submitJSON struct {
-	jobJSON
-	// Jobs is the batch form; mutually exclusive with the inline
-	// single-job fields.
-	Jobs []jobJSON `json:"jobs,omitempty"`
-	// Priority orders dispatch: higher runs first, equal priorities
-	// stay FIFO. The whole submission shares one priority.
-	Priority int `json:"priority,omitempty"`
-}
-
-// submitResponseJSON is the 202 body: one ID per submitted job, in
-// payload order; ID duplicates the single entry for one-job
-// submissions.
-type submitResponseJSON struct {
-	ID  string   `json:"id,omitempty"`
-	IDs []string `json:"ids"`
-}
-
-// jobStatusJSON is the wire form of one job's status snapshot.
-type jobStatusJSON struct {
-	ID              string           `json:"id"`
-	State           string           `json:"state"`
-	Priority        int              `json:"priority"`
-	SubmittedAt     time.Time        `json:"submittedAt"`
-	StartedAt       *time.Time       `json:"startedAt,omitempty"`
-	FinishedAt      *time.Time       `json:"finishedAt,omitempty"`
-	QueueWaitMicros int64            `json:"queueWaitMicros"`
-	RunMicros       int64            `json:"runMicros"`
-	Error           string           `json:"error,omitempty"`
-	Result          *jobResponseJSON `json:"result,omitempty"`
-	// TraceID links the job back to the submitting request (and to
-	// its own slow-trace entry under /debug/requests).
-	TraceID string `json:"traceId,omitempty"`
-}
-
-// listResponseJSON is the GET /v1/jobs body.
-type listResponseJSON struct {
-	Jobs   []jobStatusJSON `json:"jobs"`
-	Total  int             `json:"total"`
-	Offset int             `json:"offset"`
-	Limit  int             `json:"limit"`
-}
-
-// toStatusJSON renders a jobs.Status for the wire.
-func toStatusJSON(st jobs.Status) jobStatusJSON {
-	out := jobStatusJSON{
+// toStatus renders a jobs.Status for the wire.
+func toStatus(st jobs.Status) api.JobStatus {
+	out := api.JobStatus{
 		ID:              st.ID,
 		State:           string(st.State),
 		Priority:        st.Priority,
@@ -93,7 +47,7 @@ func toStatusJSON(st jobs.Status) jobStatusJSON {
 	if st.Err != nil {
 		out.Error = st.Err.Error()
 	}
-	if resp, ok := st.Result.(jobResponseJSON); ok {
+	if resp, ok := st.Result.(api.JobResponse); ok {
 		out.Result = &resp
 	}
 	return out
@@ -107,7 +61,7 @@ func (s *server) handleJobsCollection(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		s.handleJobList(w, r)
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "POST or GET only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "POST or GET only")
 	}
 }
 
@@ -115,37 +69,18 @@ func (s *server) handleJobsCollection(w http.ResponseWriter, r *http.Request) {
 // up front (cheap), admit atomically, answer 202 with the IDs — or
 // 429 with Retry-After when the queue cannot take the submission.
 func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	var sub submitJSON
-	if err := decodeBody(r, &sub); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	var sub api.Submit
+	if _, err := api.DecodeBody(r, &sub); err != nil {
+		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	single := sub.Pattern != nil || sub.Loop != ""
-	if single && len(sub.Jobs) > 0 {
-		writeError(w, http.StatusBadRequest, "body mixes an inline job with a jobs array; pick one form")
-		return
-	}
-	entries := sub.Jobs
-	if single {
-		entries = []jobJSON{sub.jobJSON}
-	}
-	if len(entries) == 0 {
-		writeError(w, http.StatusBadRequest, "submission has no jobs")
+	entries, err := sub.Entries()
+	if err != nil {
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	payloads := make([]any, len(entries))
 	for i, job := range entries {
-		// Shape errors are caught at admission; semantic errors
-		// (bad loop source, infeasible AGU) surface on the job
-		// itself, exactly as the sync endpoints report them per job.
-		if job.Pattern != nil && job.Loop != "" {
-			writeError(w, http.StatusBadRequest, "job %d sets both pattern and loop; pick one", i)
-			return
-		}
-		if job.Pattern == nil && job.Loop == "" {
-			writeError(w, http.StatusBadRequest, "job %d needs a pattern or a loop", i)
-			return
-		}
 		payloads[i] = job
 	}
 	ids, err := s.jobs.SubmitTraced(r.Context(), payloads, sub.Priority, obs.FromContext(r.Context()).ID())
@@ -155,7 +90,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		// depth / runners) instead of a constant, so clients back off
 		// proportionally to the actual backlog.
 		w.Header().Set("Retry-After", strconv.Itoa(s.jobs.RetryAfterSeconds()))
-		writeError(w, http.StatusTooManyRequests, "job queue full (%d jobs submitted against capacity %d); retry later or shrink the batch",
+		api.WriteError(w, http.StatusTooManyRequests, "job queue full (%d jobs submitted against capacity %d); retry later or shrink the batch",
 			len(payloads), s.jobs.QueueCapacity())
 		return
 	case errors.Is(err, jobs.ErrShuttingDown):
@@ -163,71 +98,58 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		// 503 with a short Retry-After, so well-behaved clients resubmit
 		// against the replacement process instead of erroring out.
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "server is draining; retry shortly")
+		api.WriteError(w, http.StatusServiceUnavailable, "server is draining; retry shortly")
 		return
 	case err != nil:
-		writeError(w, http.StatusServiceUnavailable, "submission failed: %v", err)
+		api.WriteError(w, http.StatusServiceUnavailable, "submission failed: %v", err)
 		return
 	}
-	resp := submitResponseJSON{IDs: ids}
+	resp := api.SubmitResponse{IDs: ids}
 	if len(ids) == 1 {
 		resp.ID = ids[0]
 	}
-	writeJSON(w, http.StatusAccepted, resp)
+	api.WriteJSON(w, http.StatusAccepted, resp)
 }
-
-// listLimits bound GET /v1/jobs pages.
-const (
-	defaultListLimit = 100
-	maxListLimit     = 1000
-)
 
 // handleJobList serves GET /v1/jobs?state=&offset=&limit=.
 func (s *server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	state := jobs.State(q.Get("state"))
 	if state != "" && !jobs.ValidState(state) {
-		writeError(w, http.StatusBadRequest, "unknown state %q", state)
+		api.WriteError(w, http.StatusBadRequest, "unknown state %q", state)
 		return
 	}
-	offset, err := queryInt(q.Get("offset"), 0)
+	offset, err := api.QueryInt(q.Get("offset"), 0)
 	if err != nil || offset < 0 {
-		writeError(w, http.StatusBadRequest, "bad offset")
+		api.WriteError(w, http.StatusBadRequest, "bad offset")
 		return
 	}
-	limit, err := queryInt(q.Get("limit"), defaultListLimit)
+	limit, err := api.QueryInt(q.Get("limit"), api.DefaultListLimit)
 	if err != nil || limit <= 0 {
-		writeError(w, http.StatusBadRequest, "bad limit")
+		api.WriteError(w, http.StatusBadRequest, "bad limit")
 		return
 	}
-	if limit > maxListLimit {
-		limit = maxListLimit
+	if limit > api.MaxListLimit {
+		limit = api.MaxListLimit
 	}
 	statuses, total := s.jobs.List(state, offset, limit)
-	resp := listResponseJSON{
-		Jobs:   make([]jobStatusJSON, len(statuses)),
+	resp := api.ListResponse{
+		Jobs:   make([]api.JobStatus, len(statuses)),
 		Total:  total,
 		Offset: offset,
 		Limit:  limit,
 	}
 	for i, st := range statuses {
-		resp.Jobs[i] = toStatusJSON(st)
+		resp.Jobs[i] = toStatus(st)
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func queryInt(raw string, def int) (int, error) {
-	if raw == "" {
-		return def, nil
-	}
-	return strconv.Atoi(raw)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleJobByID routes /v1/jobs/{id}: GET polls, DELETE cancels.
 func (s *server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusNotFound, "no such resource")
+		api.WriteError(w, http.StatusNotFound, "no such resource")
 		return
 	}
 	switch r.Method {
@@ -237,19 +159,19 @@ func (s *server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 			writeJobLookupError(w, id, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, toStatusJSON(st))
+		api.WriteJSON(w, http.StatusOK, toStatus(st))
 	case http.MethodDelete:
 		st, err := s.jobs.Cancel(id)
 		switch {
 		case errors.Is(err, jobs.ErrFinished):
-			writeError(w, http.StatusConflict, "job %s already finished (%s)", id, st.State)
+			api.WriteError(w, http.StatusConflict, "job %s already finished (%s)", id, st.State)
 		case err != nil:
 			writeJobLookupError(w, id, err)
 		default:
-			writeJSON(w, http.StatusOK, toStatusJSON(st))
+			api.WriteJSON(w, http.StatusOK, toStatus(st))
 		}
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "GET or DELETE only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET or DELETE only")
 	}
 }
 
@@ -258,8 +180,8 @@ func (s *server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 // gone for good).
 func writeJobLookupError(w http.ResponseWriter, id string, err error) {
 	if errors.Is(err, jobs.ErrEvicted) {
-		writeError(w, http.StatusGone, "job %s: result evicted (TTL or capacity)", id)
+		api.WriteError(w, http.StatusGone, "job %s: result evicted (TTL or capacity)", id)
 		return
 	}
-	writeError(w, http.StatusNotFound, "job %s not found", id)
+	api.WriteError(w, http.StatusNotFound, "job %s not found", id)
 }

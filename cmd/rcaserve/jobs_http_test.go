@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/engine"
 	"dspaddr/internal/jobs"
 )
@@ -37,11 +38,11 @@ func doMethod(t *testing.T, method, url string, out any) int {
 }
 
 // waitJobDone polls a job to a terminal state.
-func waitJobDone(t *testing.T, base, id string) jobStatusJSON {
+func waitJobDone(t *testing.T, base, id string) api.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		var st jobStatusJSON
+		var st api.JobStatus
 		if status := doMethod(t, http.MethodGet, base+"/v1/jobs/"+id, &st); status != http.StatusOK {
 			t.Fatalf("GET job %s: status %d", id, status)
 		}
@@ -51,7 +52,7 @@ func waitJobDone(t *testing.T, base, id string) jobStatusJSON {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("job %s never finished", id)
-	return jobStatusJSON{}
+	return api.JobStatus{}
 }
 
 // TestAsyncSingleJobLifecycle submits one pattern job, polls it done
@@ -62,7 +63,7 @@ func TestAsyncSingleJobLifecycle(t *testing.T) {
 		"pattern": {"offsets": [1, 0, 2, -1, 1, 0, -2]},
 		"agu": {"registers": 2, "modifyRange": 1}
 	}`
-	var sub submitResponseJSON
+	var sub api.SubmitResponse
 	if status := do(t, ts.URL+"/v1/jobs", body, &sub); status != http.StatusAccepted {
 		t.Fatalf("submit status %d, want 202", status)
 	}
@@ -79,7 +80,7 @@ func TestAsyncSingleJobLifecycle(t *testing.T) {
 	if st.StartedAt == nil || st.FinishedAt == nil || st.QueueWaitMicros < 0 {
 		t.Fatalf("lifecycle fields off: %+v", st)
 	}
-	var sync jobResponseJSON
+	var sync api.JobResponse
 	if status := do(t, ts.URL+"/v1/allocate", body, &sync); status != http.StatusOK {
 		t.Fatalf("sync status %d", status)
 	}
@@ -113,12 +114,12 @@ func TestAsyncBatchMatchesSync(t *testing.T) {
 	}
 	batch := `{"jobs": [` + strings.Join(entries, ",") + `]}`
 
-	var sync batchResponseJSON
+	var sync api.BatchResponse
 	if status := do(t, ts.URL+"/v1/batch", batch, &sync); status != http.StatusOK {
 		t.Fatalf("sync batch status %d", status)
 	}
 
-	var sub submitResponseJSON
+	var sub api.SubmitResponse
 	if status := do(t, ts.URL+"/v1/jobs", batch, &sub); status != http.StatusAccepted {
 		t.Fatalf("async submit status %d, want 202", status)
 	}
@@ -138,7 +139,7 @@ func TestAsyncBatchMatchesSync(t *testing.T) {
 	}
 
 	// The listing pages over everything we just ran.
-	var list listResponseJSON
+	var list api.ListResponse
 	if status := doMethod(t, http.MethodGet, ts.URL+"/v1/jobs?state=done&limit=10", &list); status != http.StatusOK {
 		t.Fatalf("list status %d", status)
 	}
@@ -169,7 +170,7 @@ func TestAsyncQueueFull(t *testing.T) {
 		t.Fatal("429 without Retry-After")
 	}
 	// Nothing of the rejected batch is tracked.
-	var list listResponseJSON
+	var list api.ListResponse
 	doMethod(t, http.MethodGet, ts.URL+"/v1/jobs", &list)
 	if list.Total != 0 {
 		t.Fatalf("rejected batch left %d jobs behind", list.Total)
@@ -183,7 +184,7 @@ func TestAsyncCancelQueued(t *testing.T) {
 	gated := func(ctx context.Context, payload any) (any, error) {
 		select {
 		case <-release:
-			return jobResponseJSON{}, nil
+			return api.JobResponse{}, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -193,11 +194,11 @@ func TestAsyncCancelQueued(t *testing.T) {
 		serverOptions{runners: 1, run: gated, version: "test"})
 
 	job := `{"pattern": {"offsets": [1, 0]}, "agu": {"registers": 1, "modifyRange": 1}}`
-	var blocker, queued submitResponseJSON
+	var blocker, queued api.SubmitResponse
 	do(t, ts.URL+"/v1/jobs", job, &blocker)
 	deadline := time.Now().Add(10 * time.Second)
 	for { // wait until the blocker occupies the only runner
-		var st jobStatusJSON
+		var st api.JobStatus
 		doMethod(t, http.MethodGet, ts.URL+"/v1/jobs/"+blocker.ID, &st)
 		if st.State == string(jobs.StateRunning) {
 			break
@@ -209,7 +210,7 @@ func TestAsyncCancelQueued(t *testing.T) {
 	}
 	do(t, ts.URL+"/v1/jobs", job, &queued)
 
-	var st jobStatusJSON
+	var st api.JobStatus
 	if status := doMethod(t, http.MethodDelete, ts.URL+"/v1/jobs/"+queued.ID, &st); status != http.StatusOK {
 		t.Fatalf("cancel status %d", status)
 	}
@@ -228,7 +229,7 @@ func TestAsyncCancelQueued(t *testing.T) {
 func TestAsyncEvictionGone(t *testing.T) {
 	ts := newTestServerWith(t, engine.Options{Workers: 1},
 		serverOptions{ttl: 20 * time.Millisecond, version: "test"})
-	var sub submitResponseJSON
+	var sub api.SubmitResponse
 	do(t, ts.URL+"/v1/jobs", `{"pattern": {"offsets": [1, 0]}, "agu": {"registers": 1, "modifyRange": 1}}`, &sub)
 	waitJobDone(t, ts.URL, sub.ID)
 	time.Sleep(60 * time.Millisecond)
@@ -261,7 +262,7 @@ func TestAsyncSubmitValidation(t *testing.T) {
 		})
 	}
 	// Semantic failures are per-job, reported on the job itself.
-	var sub submitResponseJSON
+	var sub api.SubmitResponse
 	if status := do(t, ts.URL+"/v1/jobs", `{"loop": "while (1) {}", "agu": {"registers": 1, "modifyRange": 1}}`, &sub); status != http.StatusAccepted {
 		t.Fatalf("bad-loop submit status %d, want 202 (fails async)", status)
 	}
@@ -277,10 +278,10 @@ func TestAsyncPriorityOverturn(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan string, 8)
 	gated := func(ctx context.Context, payload any) (any, error) {
-		started <- payload.(jobJSON).Pattern.Array
+		started <- payload.(api.Job).Pattern.Array
 		select {
 		case <-release:
-			return jobResponseJSON{}, nil
+			return api.JobResponse{}, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -316,7 +317,7 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0
 // well-formed Prometheus text whose counters reflect the run.
 func TestMetricsEndpoint(t *testing.T) {
 	ts := newTestServer(t, engine.Options{Workers: 2})
-	var sub submitResponseJSON
+	var sub api.SubmitResponse
 	do(t, ts.URL+"/v1/jobs", `{"jobs": [
 		{"pattern": {"offsets": [1, 0, 2]}, "agu": {"registers": 1, "modifyRange": 1}},
 		{"pattern": {"offsets": [1, 0, 2]}, "agu": {"registers": 1, "modifyRange": 1}},

@@ -91,6 +91,7 @@ import (
 	"syscall"
 	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/engine"
 	"dspaddr/internal/faults"
 	"dspaddr/internal/jobs"
@@ -314,7 +315,7 @@ func startDebugListener(addr string, logger *slog.Logger) {
 	mux.HandleFunc("/debug/runtime", func(w http.ResponseWriter, r *http.Request) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		writeJSON(w, http.StatusOK, map[string]any{
+		api.WriteJSON(w, http.StatusOK, map[string]any{
 			"goroutines":        runtime.NumGoroutine(),
 			"heapAllocBytes":    ms.HeapAlloc,
 			"heapSysBytes":      ms.HeapSys,

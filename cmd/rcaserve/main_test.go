@@ -1,14 +1,18 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/engine"
 )
 
@@ -42,6 +46,47 @@ func newTestServerWith(t *testing.T, opts engine.Options, sopts serverOptions) *
 	return ts
 }
 
+// TestGoldenNodeResponses pins the bytes a node answers for the paper
+// example and a loop job (elapsed time zeroed) against goldens written
+// by the build before the wire types moved into internal/api.
+func TestGoldenNodeResponses(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 1})
+	defer eng.Close()
+	s := newServer(eng, serverOptions{version: "golden"})
+	defer s.close()
+	for _, tc := range []struct {
+		golden string
+		job    api.Job
+	}{
+		{"../../internal/api/testdata/paper_example_response.json", api.Job{
+			Pattern: &api.Pattern{Offsets: []int{1, 0, 2, -1, 1, 0, -2}},
+			AGU:     api.AGU{Registers: 2, ModifyRange: 1},
+		}},
+		{"testdata/loop_example_response.json", api.Job{
+			Loop:     "for (i = 0; i <= N; i++) { y[i] = x[i] + x[i-1]; }",
+			Bindings: map[string]int{"N": 10, "B": -3},
+			AGU:      api.AGU{Registers: 3, ModifyRange: 2},
+		}},
+	} {
+		want, err := os.ReadFile(tc.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := s.runJob(context.Background(), tc.job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range resp.Results {
+			resp.Results[i].ElapsedMicros = 0
+		}
+		rec := httptest.NewRecorder()
+		api.WriteJSON(rec, http.StatusOK, resp)
+		if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+			t.Errorf("%s: bytes changed\n got: %s\nwant: %s", tc.golden, got, want)
+		}
+	}
+}
+
 // do posts a body and decodes the JSON response into out, returning
 // the status code.
 func do(t *testing.T, url, body string, out any) int {
@@ -64,7 +109,7 @@ func do(t *testing.T, url, body string, out any) int {
 // (Section 2 of the paper).
 func TestAllocatePattern(t *testing.T) {
 	ts := newTestServer(t, engine.Options{Workers: 2})
-	var resp jobResponseJSON
+	var resp api.JobResponse
 	status := do(t, ts.URL+"/v1/allocate", `{
 		"pattern": {"offsets": [1, 0, 2, -1, 1, 0, -2]},
 		"agu": {"registers": 2, "modifyRange": 1}
@@ -86,7 +131,7 @@ func TestAllocatePattern(t *testing.T) {
 // arrays exactly as dspaddr.AllocateLoop distributes them.
 func TestAllocateLoopDSL(t *testing.T) {
 	ts := newTestServer(t, engine.Options{Workers: 2})
-	var resp jobResponseJSON
+	var resp api.JobResponse
 	status := do(t, ts.URL+"/v1/allocate", `{
 		"loop": "for (i = 0; i <= N; i++) { C[i] = A[i+1] + B[i]; B[i+2]; }",
 		"bindings": {"N": 100},
@@ -130,7 +175,7 @@ func TestAllocateLoopDSL(t *testing.T) {
 // 2 registers per array.
 func TestAllocateLoopBudgetShared(t *testing.T) {
 	ts := newTestServer(t, engine.Options{Workers: 2})
-	var resp jobResponseJSON
+	var resp api.JobResponse
 	status := do(t, ts.URL+"/v1/allocate", `{
 		"loop": "for (i = 0; i <= 9; i++) { A[i]; B[i]; C[i]; }",
 		"agu": {"registers": 2, "modifyRange": 1}
@@ -189,7 +234,7 @@ func TestMethodNotAllowed(t *testing.T) {
 // the 504 path.
 func TestAllocateTimeout(t *testing.T) {
 	ts := newTestServer(t, engine.Options{Workers: 1, JobTimeout: time.Nanosecond})
-	var resp jobResponseJSON
+	var resp api.JobResponse
 	status := do(t, ts.URL+"/v1/allocate", `{
 		"pattern": {"offsets": [1, 0, 2, -1, 1, 0, -2]},
 		"agu": {"registers": 1, "modifyRange": 1}
@@ -212,7 +257,7 @@ func TestBatchWithCacheHits(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = job
 	}
-	var resp batchResponseJSON
+	var resp api.BatchResponse
 	status := do(t, ts.URL+"/v1/batch", `{"jobs": [`+strings.Join(jobs, ",")+`]}`, &resp)
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
@@ -261,7 +306,7 @@ func TestBatchWithCacheHits(t *testing.T) {
 // checks failures stay per-job.
 func TestBatchMixedJobs(t *testing.T) {
 	ts := newTestServer(t, engine.Options{Workers: 4})
-	var resp batchResponseJSON
+	var resp api.BatchResponse
 	status := do(t, ts.URL+"/v1/batch", `{"jobs": [
 		{"pattern": {"offsets": [1, 0, 2]}, "agu": {"registers": 1, "modifyRange": 1}},
 		{"agu": {"registers": 1, "modifyRange": 1}},
@@ -355,7 +400,7 @@ func TestVersionSurfaced(t *testing.T) {
 	}
 }
 
-func getStats(t *testing.T, ts *httptest.Server) statsJSON {
+func getStats(t *testing.T, ts *httptest.Server) api.Stats {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -365,7 +410,7 @@ func getStats(t *testing.T, ts *httptest.Server) statsJSON {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats status %d", resp.StatusCode)
 	}
-	var out statsJSON
+	var out api.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}

@@ -19,12 +19,14 @@ import (
 	"runtime"
 	"strings"
 	"time"
+
+	"dspaddr/internal/api"
 )
 
 // handleMetrics serves GET /metrics.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

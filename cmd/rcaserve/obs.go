@@ -16,9 +16,9 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/deadline"
 	"dspaddr/internal/obs"
 )
@@ -91,19 +91,6 @@ func (ob *observability) threshold() time.Duration {
 	}
 }
 
-// statusWriter captures the response status for labeling.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
 // instrument is the single request wrapper: it assigns (or accepts)
 // the trace ID, threads a span recorder through the request context,
 // honors the propagated deadline budget (X-Deadline-Ms becomes a
@@ -117,13 +104,13 @@ func (s *server) instrument(next http.Handler) http.Handler {
 		id := requestID(r)
 		tr := obs.NewTrace(id)
 		w.Header().Set("X-Request-Id", id)
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &api.StatusWriter{ResponseWriter: w}
 		start := time.Now()
 		ctx := obs.NewContext(r.Context(), tr)
 		budget, hasBudget := deadline.FromHeader(r.Header)
 		if hasBudget && budget <= 0 {
 			s.deadlineExpired.Add(1)
-			writeError(sw, http.StatusGatewayTimeout, "deadline budget spent before arrival")
+			api.WriteError(sw, http.StatusGatewayTimeout, "deadline budget spent before arrival")
 		} else {
 			if hasBudget {
 				var cancel context.CancelFunc
@@ -142,11 +129,8 @@ func (s *server) instrument(next http.Handler) http.Handler {
 		}
 		dur := time.Since(start)
 
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		route := routeOf(r.URL.Path)
+		status := sw.Status()
+		route := api.RouteOf(r.URL.Path)
 		statusText := strconv.Itoa(status)
 		s.requests.Add(1)
 		s.obs.httpReqs.Add(1, route, statusText)
@@ -193,38 +177,10 @@ func captureTrace(status int, dur, min time.Duration) bool {
 // requestID accepts a well-formed client-supplied X-Request-Id or
 // generates one.
 func requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-Id"); validRequestID(id) {
+	if id := r.Header.Get("X-Request-Id"); api.ValidRequestID(id) {
 		return id
 	}
 	return fmt.Sprintf("r-%016x", rand.Uint64())
-}
-
-// validRequestID bounds what we echo back into headers, logs and
-// JSON: non-empty, at most 128 bytes, printable ASCII without quotes.
-func validRequestID(id string) bool {
-	if id == "" || len(id) > 128 {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		if c := id[i]; c <= ' ' || c > '~' || c == '"' {
-			return false
-		}
-	}
-	return true
-}
-
-// routeOf normalizes a request path to a bounded label set, so the
-// by-route families can't grow cardinality from scanner traffic.
-func routeOf(path string) string {
-	switch path {
-	case "/v1/allocate", "/v1/batch", "/v1/jobs", "/v1/stats",
-		"/metrics", "/healthz", "/debug/soak", "/debug/requests":
-		return path
-	}
-	if strings.HasPrefix(path, "/v1/jobs/") {
-		return "/v1/jobs/{id}"
-	}
-	return "other"
 }
 
 // debugRequestsJSON is the GET /debug/requests body.
@@ -240,7 +196,7 @@ type debugRequestsJSON struct {
 // retained slow/error traces, newest first.
 func (s *server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	q := r.URL.Query()
@@ -248,14 +204,14 @@ func (s *server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	if raw := q.Get("min_ms"); raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)
 		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, "bad min_ms")
+			api.WriteError(w, http.StatusBadRequest, "bad min_ms")
 			return
 		}
 		minMS = v
 	}
-	limit, err := queryInt(q.Get("limit"), 0)
+	limit, err := api.QueryInt(q.Get("limit"), 0)
 	if err != nil || limit < 0 {
-		writeError(w, http.StatusBadRequest, "bad limit")
+		api.WriteError(w, http.StatusBadRequest, "bad limit")
 		return
 	}
 	all := s.obs.ring.Snapshots()
@@ -268,5 +224,5 @@ func (s *server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
-	writeJSON(w, http.StatusOK, debugRequestsJSON{Count: len(out), Traces: out})
+	api.WriteJSON(w, http.StatusOK, debugRequestsJSON{Count: len(out), Traces: out})
 }

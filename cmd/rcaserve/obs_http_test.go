@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/engine"
 	"dspaddr/internal/obs"
 )
@@ -54,7 +55,7 @@ func TestMetricsExpositionHygiene(t *testing.T) {
 		t.Fatalf("bad allocate status %d", status)
 	}
 	// An async round trip populates the queue-wait and run histograms.
-	var sub submitResponseJSON
+	var sub api.SubmitResponse
 	if status := do(t, ts.URL+"/v1/jobs", okJob, &sub); status != http.StatusAccepted {
 		t.Fatalf("submit status %d", status)
 	}
@@ -329,7 +330,7 @@ func TestAsyncJobTraceID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sub submitResponseJSON
+	var sub api.SubmitResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
 		t.Fatal(err)
 	}
@@ -360,11 +361,11 @@ func TestAsyncJobTraceID(t *testing.T) {
 }
 
 // waitForJobDone polls an async job to a terminal state.
-func waitForJobDone(t *testing.T, ts *httptest.Server, id string) jobStatusJSON {
+func waitForJobDone(t *testing.T, ts *httptest.Server, id string) api.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		var st jobStatusJSON
+		var st api.JobStatus
 		getJSON(t, ts.URL+"/v1/jobs/"+id, &st)
 		switch st.State {
 		case "done", "failed", "timeout", "canceled":
@@ -373,7 +374,7 @@ func waitForJobDone(t *testing.T, ts *httptest.Server, id string) jobStatusJSON 
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("job %s never finished", id)
-	return jobStatusJSON{}
+	return api.JobStatus{}
 }
 
 // getJSON GETs a URL and decodes the body.
@@ -405,8 +406,8 @@ func TestRouteNormalization(t *testing.T) {
 		"/v1/jobsandstorage": "other",
 	}
 	for path, want := range cases {
-		if got := routeOf(path); got != want {
-			t.Errorf("routeOf(%q) = %q, want %q", path, got, want)
+		if got := api.RouteOf(path); got != want {
+			t.Errorf("api.RouteOf(%q) = %q, want %q", path, got, want)
 		}
 	}
 }

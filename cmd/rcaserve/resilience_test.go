@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/engine"
 	"dspaddr/internal/faults"
 )
@@ -32,14 +33,14 @@ func postWithDeadline(t *testing.T, url, budgetMS, body string) *http.Response {
 	return resp
 }
 
-func statsOf(t *testing.T, baseURL string) statsJSON {
+func statsOf(t *testing.T, baseURL string) api.Stats {
 	t.Helper()
 	resp, err := http.Get(baseURL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out statsJSON
+	var out api.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}

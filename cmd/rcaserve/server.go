@@ -2,29 +2,23 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/core"
 	"dspaddr/internal/engine"
 	"dspaddr/internal/faults"
 	"dspaddr/internal/frontend"
 	"dspaddr/internal/jobs"
-	"dspaddr/internal/model"
 	"dspaddr/internal/obs"
 	"dspaddr/internal/wal"
 )
-
-// maxBodyBytes caps request bodies; allocation requests are tiny, so
-// anything bigger is abuse.
-const maxBodyBytes = 1 << 20
 
 // serverOptions configures the service pieces that sit above the
 // engine: the async job queue, result store and build identity.
@@ -121,36 +115,13 @@ func newServer(e *engine.Engine, opts serverOptions) *server {
 	if opts.wal != nil {
 		jo.WAL = opts.wal
 		jo.Recovered = opts.recovered
-		jo.EncodePayload = encodeJobPayload
-		jo.DecodePayload = decodeJobPayload
-		jo.EncodeResult = encodeJobResult
-		jo.DecodeResult = decodeJobResult
+		jo.EncodePayload = api.EncodeRecord
+		jo.DecodePayload = api.DecodeJobPayload
+		jo.EncodeResult = api.EncodeRecord
+		jo.DecodeResult = api.DecodeJobResult
 	}
 	s.jobs = jobs.New(jo)
 	return s
-}
-
-// The WAL codecs: payloads and results travel as their wire JSON, so
-// a replayed job is byte-for-byte the job the client submitted and a
-// recovered result renders exactly as it would have before the crash.
-func encodeJobPayload(v any) ([]byte, error) { return json.Marshal(v) }
-
-func decodeJobPayload(b []byte) (any, error) {
-	var job jobJSON
-	if err := json.Unmarshal(b, &job); err != nil {
-		return nil, err
-	}
-	return job, nil
-}
-
-func encodeJobResult(v any) ([]byte, error) { return json.Marshal(v) }
-
-func decodeJobResult(b []byte) (any, error) {
-	var resp jobResponseJSON
-	if err := json.Unmarshal(b, &resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
 }
 
 // close releases the async job manager (the engine is owned by the
@@ -190,114 +161,9 @@ func (s *server) handler() http.Handler {
 	return s.instrument(mux)
 }
 
-// aguJSON is the wire form of model.AGUSpec.
-type aguJSON struct {
-	// Registers is K, the number of AGU address registers.
-	Registers int `json:"registers"`
-	// ModifyRange is M, the free post-modify range.
-	ModifyRange int `json:"modifyRange"`
-}
-
-// patternJSON is the wire form of model.Pattern.
-type patternJSON struct {
-	// Array names the accessed array (informational).
-	Array string `json:"array,omitempty"`
-	// Stride is the loop increment per iteration; 0 means 1.
-	Stride int `json:"stride,omitempty"`
-	// Offsets is the access offset sequence in program order.
-	Offsets []int `json:"offsets"`
-}
-
-// jobJSON is one allocation job of an /v1/allocate or /v1/batch
-// request. Exactly one of Pattern and Loop must be set: Pattern names
-// the access pattern directly, Loop is mini-C loop source parsed by
-// the frontend. A loop is allocated as a whole — the K registers are
-// distributed over its arrays by marginal cost, exactly as
-// dspaddr.AllocateLoop does — and yields one result per array.
-type jobJSON struct {
-	Pattern  *patternJSON   `json:"pattern,omitempty"`
-	Loop     string         `json:"loop,omitempty"`
-	Bindings map[string]int `json:"bindings,omitempty"`
-	AGU      aguJSON        `json:"agu"`
-	// Wrap includes inter-iteration updates in the objective.
-	Wrap bool `json:"wrap,omitempty"`
-	// Strategy selects the phase-2 merge heuristic
-	// (greedy|naive|smallest|optimal); empty means greedy.
-	Strategy string `json:"strategy,omitempty"`
-}
-
-// allocJSON is the wire form of one array's allocation result.
-type allocJSON struct {
-	Array            string  `json:"array"`
-	Offsets          []int   `json:"offsets"`
-	Cost             int     `json:"cost"`
-	VirtualRegisters int     `json:"virtualRegisters"`
-	RegistersUsed    int     `json:"registersUsed"`
-	Merged           bool    `json:"merged"`
-	CoverExact       bool    `json:"coverExact"`
-	Registers        [][]int `json:"registers"`
-	// GlobalRegisters maps this array's register indices to loop-wide
-	// physical registers (loop jobs only).
-	GlobalRegisters []int  `json:"globalRegisters,omitempty"`
-	CacheHit        bool   `json:"cacheHit"`
-	ElapsedMicros   int64  `json:"elapsedMicros"`
-	Report          string `json:"report"`
-}
-
-// jobResponseJSON is the outcome of one job: per-array results, or an
-// error string.
-type jobResponseJSON struct {
-	Error   string      `json:"error,omitempty"`
-	Results []allocJSON `json:"results,omitempty"`
-}
-
-// batchRequestJSON is the /v1/batch request body.
-type batchRequestJSON struct {
-	Jobs []jobJSON `json:"jobs"`
-}
-
-// batchResponseJSON is the /v1/batch response body.
-type batchResponseJSON struct {
-	Results       []jobResponseJSON `json:"results"`
-	ElapsedMicros int64             `json:"elapsedMicros"`
-}
-
-// errorJSON is the uniform error body.
-type errorJSON struct {
-	Error string `json:"error"`
-}
-
-// writeJSON marshals v with the given status code.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone — nothing left to do
-}
-
-// writeError sends the uniform error body.
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorJSON{Error: fmt.Sprintf(format, args...)})
-}
-
-// decodeBody strictly decodes the request body into v: unknown fields,
-// trailing garbage and oversize bodies are errors.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if err := dec.Decode(new(any)); !errors.Is(err, io.EOF) {
-		return errors.New("trailing data after JSON body")
-	}
-	return nil
-}
-
-// toAllocJSON renders one single-pattern allocation for the wire.
-func toAllocJSON(res *core.Result, cacheHit bool, elapsedMicros int64) allocJSON {
-	out := allocJSON{
+// toAlloc renders one single-pattern allocation for the wire.
+func toAlloc(res *core.Result, cacheHit bool, elapsedMicros int64) api.Alloc {
+	out := api.Alloc{
 		Array:         res.Pattern.Array,
 		Offsets:       res.Pattern.Offsets,
 		CacheHit:      cacheHit,
@@ -328,7 +194,7 @@ func (s *server) runPayload(ctx context.Context, payload any) (any, error) {
 		tr = obs.NewTrace(tid)
 		ctx = obs.NewContext(ctx, tr)
 	}
-	resp, err := s.runJob(ctx, payload.(jobJSON))
+	resp, err := s.runJob(ctx, payload.(api.Job))
 	if tr != nil {
 		dur := tr.Elapsed()
 		if err != nil || dur >= s.obs.threshold() {
@@ -356,57 +222,41 @@ func (s *server) runPayload(ctx context.Context, payload any) (any, error) {
 // whose response carries one entry per array. The second return value
 // is the failure (nil on success), so callers can map error kinds to
 // HTTP status codes.
-func (s *server) runJob(ctx context.Context, job jobJSON) (jobResponseJSON, error) {
-	agu := model.AGUSpec{Registers: job.AGU.Registers, ModifyRange: job.AGU.ModifyRange}
-	switch {
-	case job.Pattern != nil && job.Loop != "":
-		err := errors.New("job sets both pattern and loop; pick one")
-		return jobResponseJSON{Error: err.Error()}, err
-
-	case job.Pattern != nil:
-		stride := job.Pattern.Stride
-		if stride == 0 {
-			stride = 1
-		}
-		res := s.engine.Run(ctx, engine.Request{
-			Pattern:        model.Pattern{Array: job.Pattern.Array, Stride: stride, Offsets: job.Pattern.Offsets},
-			AGU:            agu,
-			InterIteration: job.Wrap,
-			Strategy:       job.Strategy,
-		})
-		if res.Err != nil {
-			return jobResponseJSON{Error: res.Err.Error()}, res.Err
-		}
-		return jobResponseJSON{Results: []allocJSON{
-			toAllocJSON(res.Result, res.CacheHit, res.Elapsed.Microseconds()),
-		}}, nil
-
-	case job.Loop != "":
-		prog, err := frontend.Parse(job.Loop, job.Bindings)
-		if err != nil {
-			return jobResponseJSON{Error: err.Error()}, err
-		}
-		res := s.engine.RunLoop(ctx, engine.LoopRequest{
-			Loop:           prog.Loop,
-			AGU:            agu,
-			InterIteration: job.Wrap,
-			Strategy:       job.Strategy,
-		})
-		if res.Err != nil {
-			return jobResponseJSON{Error: res.Err.Error()}, res.Err
-		}
-		resp := jobResponseJSON{Results: make([]allocJSON, 0, len(res.Result.Arrays))}
-		for _, aa := range res.Result.Arrays {
-			a := toAllocJSON(aa.Result, res.CacheHit, res.Elapsed.Microseconds())
-			a.GlobalRegisters = aa.GlobalRegisters
-			resp.Results = append(resp.Results, a)
-		}
-		return resp, nil
-
-	default:
-		err := errors.New("job needs a pattern or a loop")
-		return jobResponseJSON{Error: err.Error()}, err
+func (s *server) runJob(ctx context.Context, job api.Job) (api.JobResponse, error) {
+	if err := job.Check(); err != nil {
+		err = fmt.Errorf("job %w", err)
+		return api.JobResponse{Error: err.Error()}, err
 	}
+	req := job.EngineRequest()
+	if job.Pattern != nil {
+		res := s.engine.Run(ctx, req)
+		if res.Err != nil {
+			return api.JobResponse{Error: res.Err.Error()}, res.Err
+		}
+		return api.JobResponse{Results: []api.Alloc{
+			toAlloc(res.Result, res.CacheHit, res.Elapsed.Microseconds()),
+		}}, nil
+	}
+	prog, err := frontend.Parse(job.Loop, job.Bindings)
+	if err != nil {
+		return api.JobResponse{Error: err.Error()}, err
+	}
+	res := s.engine.RunLoop(ctx, engine.LoopRequest{
+		Loop:           prog.Loop,
+		AGU:            req.AGU,
+		InterIteration: req.InterIteration,
+		Strategy:       req.Strategy,
+	})
+	if res.Err != nil {
+		return api.JobResponse{Error: res.Err.Error()}, res.Err
+	}
+	resp := api.JobResponse{Results: make([]api.Alloc, 0, len(res.Result.Arrays))}
+	for _, aa := range res.Result.Arrays {
+		a := toAlloc(aa.Result, res.CacheHit, res.Elapsed.Microseconds())
+		a.GlobalRegisters = aa.GlobalRegisters
+		resp.Results = append(resp.Results, a)
+	}
+	return resp, nil
 }
 
 // shedIfOverloaded applies the adaptive load-shedding policy to a
@@ -421,7 +271,7 @@ func (s *server) shedIfOverloaded(w http.ResponseWriter) bool {
 	}
 	s.sheds.Add(1)
 	w.Header().Set("Retry-After", strconv.Itoa(engine.ShedRetryAfterSeconds()))
-	writeError(w, http.StatusServiceUnavailable, "overloaded: queue wait above shed target; retry shortly")
+	api.WriteError(w, http.StatusServiceUnavailable, "overloaded: queue wait above shed target; retry shortly")
 	return true
 }
 
@@ -429,23 +279,23 @@ func (s *server) shedIfOverloaded(w http.ResponseWriter) bool {
 // Allocator-level failures map to 422, per-job timeouts to 504.
 func (s *server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if s.shedIfOverloaded(w) {
 		return
 	}
-	var job jobJSON
-	if err := decodeBody(r, &job); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	var job api.Job
+	if _, err := api.DecodeBody(r, &job); err != nil {
+		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	resp, err := s.runJob(r.Context(), job)
 	if err != nil {
-		writeJSON(w, statusForJobError(err), resp)
+		api.WriteJSON(w, statusForJobError(err), resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleBatch serves POST /v1/batch: many jobs fanned out over the
@@ -454,63 +304,43 @@ func (s *server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 // body parses.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if s.shedIfOverloaded(w) {
 		return
 	}
-	var batch batchRequestJSON
-	if err := decodeBody(r, &batch); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	var batch api.BatchRequest
+	if _, err := api.DecodeBody(r, &batch); err != nil {
+		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if len(batch.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "batch has no jobs")
+		api.WriteError(w, http.StatusBadRequest, "batch has no jobs")
 		return
 	}
 	start := time.Now()
-	resp := batchResponseJSON{Results: make([]jobResponseJSON, len(batch.Jobs))}
+	resp := api.BatchResponse{Results: make([]api.JobResponse, len(batch.Jobs))}
 	var wg sync.WaitGroup
 	for i, job := range batch.Jobs {
 		wg.Add(1)
-		go func(i int, job jobJSON) {
+		go func(i int, job api.Job) {
 			defer wg.Done()
 			resp.Results[i], _ = s.runJob(r.Context(), job)
 		}(i, job)
 	}
 	wg.Wait()
 	resp.ElapsedMicros = time.Since(start).Microseconds()
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// statsJSON is the /v1/stats response: engine statistics plus async
-// job metrics, build version, process uptime and HTTP request count.
-type statsJSON struct {
-	engine.Stats
-	AsyncJobs jobs.Metrics `json:"asyncJobs"`
-	// WAL reports write-ahead log health (segments, appends, fsyncs,
-	// compaction, boot replay); absent when durability is off.
-	WAL *wal.Stats `json:"wal,omitempty"`
-	// NodeID is the cluster identity from -node-id; absent single-node.
-	NodeID        string  `json:"nodeId,omitempty"`
-	Version       string  `json:"version"`
-	UptimeSeconds float64 `json:"uptimeSeconds"`
-	HTTPRequests  uint64  `json:"httpRequests"`
-	// Sheds counts synchronous requests rejected by adaptive load
-	// shedding; DeadlineExpired counts requests whose propagated
-	// deadline budget was spent before arrival.
-	Sheds           uint64 `json:"sheds"`
-	DeadlineExpired uint64 `json:"deadlineExpired"`
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleStats serves GET /v1/stats.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	out := statsJSON{
+	out := api.Stats{
 		Stats:           s.engine.Stats(),
 		AsyncJobs:       s.jobs.Metrics(),
 		NodeID:          s.nodeID,
@@ -524,7 +354,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ws := s.wal.Stats()
 		out.WAL = &ws
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleHealthz serves GET/HEAD /healthz for load-balancer probes.
@@ -532,7 +362,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 // a probe log identifies what is running.
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeError(w, http.StatusMethodNotAllowed, "GET or HEAD only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET or HEAD only")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/engine"
 	"dspaddr/internal/jobs"
 	"dspaddr/internal/wal"
@@ -60,7 +61,7 @@ func TestWALRestartPreservesResults(t *testing.T) {
 	dir := t.TempDir()
 	ts1, s1 := newWALServer(t, dir, serverOptions{})
 
-	var sub submitResponseJSON
+	var sub api.SubmitResponse
 	if code := do(t, ts1.URL+"/v1/jobs", walSubmitBody, &sub); code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}
@@ -74,7 +75,7 @@ func TestWALRestartPreservesResults(t *testing.T) {
 	s1.close()
 
 	ts2, _ := newWALServer(t, dir, serverOptions{})
-	var second jobStatusJSON
+	var second api.JobStatus
 	if code := doMethod(t, http.MethodGet, ts2.URL+"/v1/jobs/"+sub.ID, &second); code != http.StatusOK {
 		t.Fatalf("recovered job lookup: status %d", code)
 	}
@@ -108,7 +109,7 @@ func TestWALRestartPreservesResults(t *testing.T) {
 // when durability is on, and never on a plain server.
 func TestWALMetricsExposed(t *testing.T) {
 	ts, _ := newWALServer(t, t.TempDir(), serverOptions{})
-	var sub submitResponseJSON
+	var sub api.SubmitResponse
 	if code := do(t, ts.URL+"/v1/jobs", walSubmitBody, &sub); code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}
@@ -158,11 +159,11 @@ func TestSubmitDuringDrainHTTP(t *testing.T) {
 			case <-release:
 			case <-ctx.Done():
 			}
-			return jobResponseJSON{}, nil
+			return api.JobResponse{}, nil
 		},
 	})
 
-	var sub submitResponseJSON
+	var sub api.SubmitResponse
 	if code := do(t, ts.URL+"/v1/jobs", walSubmitBody, &sub); code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}
@@ -170,7 +171,7 @@ func TestSubmitDuringDrainHTTP(t *testing.T) {
 	// complete before we probe it.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		var st jobStatusJSON
+		var st api.JobStatus
 		doMethod(t, http.MethodGet, ts.URL+"/v1/jobs/"+sub.ID, &st)
 		if st.State == string(jobs.StateRunning) {
 			break

@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/core"
 	"dspaddr/internal/frontend"
 	"dspaddr/internal/merge"
@@ -208,75 +209,17 @@ func (d *driver) record(rec jobRecord) {
 	d.mu.Unlock()
 }
 
-// ---- wire types (mirror cmd/rcaserve; the server decoder is strict,
-// so only fields it knows may appear) ----
-
-type wireAGU struct {
-	Registers   int `json:"registers"`
-	ModifyRange int `json:"modifyRange"`
-}
-
-type wirePattern struct {
-	Stride  int   `json:"stride,omitempty"`
-	Offsets []int `json:"offsets"`
-}
-
-type wireJob struct {
-	Pattern  *wirePattern   `json:"pattern,omitempty"`
-	Loop     string         `json:"loop,omitempty"`
-	Bindings map[string]int `json:"bindings,omitempty"`
-	AGU      wireAGU        `json:"agu"`
-	Wrap     bool           `json:"wrap,omitempty"`
-	Strategy string         `json:"strategy,omitempty"`
-}
-
-type wireSubmitSingle struct {
-	wireJob
-	Priority int `json:"priority,omitempty"`
-}
-
-type wireSubmitBatch struct {
-	Jobs     []wireJob `json:"jobs"`
-	Priority int       `json:"priority,omitempty"`
-}
-
-type wireAlloc struct {
-	Array   string `json:"array"`
-	Offsets []int  `json:"offsets"`
-	Cost    int    `json:"cost"`
-}
-
-type wireJobResp struct {
-	Error   string      `json:"error"`
-	Results []wireAlloc `json:"results"`
-}
-
-type wireBatchResp struct {
-	Results []wireJobResp `json:"results"`
-}
-
-type wireSubmitResp struct {
-	ID  string   `json:"id"`
-	IDs []string `json:"ids"`
-}
-
-type wireStatus struct {
-	ID     string       `json:"id"`
-	State  string       `json:"state"`
-	Error  string       `json:"error"`
-	Result *wireJobResp `json:"result"`
-}
-
-func toWireJob(s workload.JobSpec) wireJob {
-	j := wireJob{
-		AGU:      wireAGU{Registers: s.AGU.Registers, ModifyRange: s.AGU.ModifyRange},
+// toJob renders a spec as the wire job the server decodes.
+func toJob(s workload.JobSpec) api.Job {
+	j := api.Job{
+		AGU:      api.AGU{Registers: s.AGU.Registers, ModifyRange: s.AGU.ModifyRange},
 		Wrap:     s.Wrap,
 		Strategy: s.Strategy,
 	}
 	if s.IsLoop() {
 		j.Loop, j.Bindings = s.Loop, s.Bindings
 	} else {
-		j.Pattern = &wirePattern{Stride: s.Pattern.Stride, Offsets: s.Pattern.Offsets}
+		j.Pattern = &api.Pattern{Stride: s.Pattern.Stride, Offsets: s.Pattern.Offsets}
 	}
 	return j
 }
@@ -399,7 +342,7 @@ func strategyByName(name string) merge.Strategy {
 // reference: the echoed offsets must be the submitted offsets (the
 // aliasing oracle — a cache or single-flight bug hands back someone
 // else's pattern) and the summed cost must match the reference solve.
-func (d *driver) checkResults(class string, s workload.JobSpec, results []wireAlloc) (refChecked, refOK, echoOK bool) {
+func (d *driver) checkResults(class string, s workload.JobSpec, results []api.Alloc) (refChecked, refOK, echoOK bool) {
 	echoOK = true
 	if !s.IsLoop() {
 		if len(results) != 1 || !equalInts(results[0].Offsets, s.Pattern.Offsets) {
@@ -448,8 +391,8 @@ func (d *driver) classifyFailure(class string, s workload.JobSpec, msg string) {
 }
 
 func (d *driver) doSync(s workload.JobSpec) {
-	var resp wireJobResp
-	status, elapsed, err := d.postJSON(d.cfg.base+"/v1/allocate", toWireJob(s), &resp)
+	var resp api.JobResponse
+	status, elapsed, err := d.postJSON(d.cfg.base+"/v1/allocate", toJob(s), &resp)
 	if err != nil {
 		d.outcome("sync", "conn")
 		return
@@ -482,15 +425,12 @@ func (d *driver) doSync(s workload.JobSpec) {
 }
 
 func (d *driver) doBatch(specs []workload.JobSpec) {
-	body := wireSubmitBatch{Jobs: make([]wireJob, len(specs))}
+	body := api.BatchRequest{Jobs: make([]api.Job, len(specs))}
 	for i, s := range specs {
-		body.Jobs[i] = toWireJob(s)
+		body.Jobs[i] = toJob(s)
 	}
-	var resp wireBatchResp
-	status, elapsed, err := d.postJSON(d.cfg.base+"/v1/batch",
-		struct {
-			Jobs []wireJob `json:"jobs"`
-		}{body.Jobs}, &resp)
+	var resp api.BatchResponse
+	status, elapsed, err := d.postJSON(d.cfg.base+"/v1/batch", body, &resp)
 	if err != nil {
 		d.outcome("batch", "conn")
 		return
@@ -532,17 +472,16 @@ func (d *driver) doBatch(specs []workload.JobSpec) {
 // polls every accepted ID to a terminal observation.
 func (d *driver) doAsync(op workload.Op, cancel bool, pollDeadline time.Time) {
 	class := op.Kind.String()
-	var body any
+	body := api.Submit{Priority: op.Priority}
 	if len(op.Jobs) == 1 {
-		body = wireSubmitSingle{wireJob: toWireJob(op.Jobs[0]), Priority: op.Priority}
+		body.Job = toJob(op.Jobs[0])
 	} else {
-		jobs := make([]wireJob, len(op.Jobs))
+		body.Jobs = make([]api.Job, len(op.Jobs))
 		for i, s := range op.Jobs {
-			jobs[i] = toWireJob(s)
+			body.Jobs[i] = toJob(s)
 		}
-		body = wireSubmitBatch{Jobs: jobs, Priority: op.Priority}
 	}
-	var resp wireSubmitResp
+	var resp api.SubmitResponse
 	submitAt := time.Now()
 	status, elapsed, err := d.postJSON(d.cfg.base+"/v1/jobs", body, &resp)
 	if err != nil {
@@ -621,7 +560,7 @@ func (d *driver) pollJob(id, class string, s workload.JobSpec, submitAt, deadlin
 			rec.Err = "pending at poll deadline"
 			return rec
 		}
-		var st wireStatus
+		var st api.JobStatus
 		status, err := d.getJSON(d.cfg.base+"/v1/jobs/"+id, &st)
 		now := time.Now()
 		switch {

@@ -58,6 +58,7 @@ import (
 	"syscall"
 	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/obs"
 	"dspaddr/internal/workload"
 )
@@ -1023,27 +1024,14 @@ func (h *harness) rearmTargets() []string {
 }
 
 // finalStats fetches /v1/stats for the accounting identity.
-type finalStatsJSON struct {
-	AsyncJobs struct {
-		QueueDepth int    `json:"queueDepth"`
-		Running    int    `json:"running"`
-		Submitted  uint64 `json:"submitted"`
-		Done       uint64 `json:"done"`
-		Failed     uint64 `json:"failed"`
-		TimedOut   uint64 `json:"timedOut"`
-		Canceled   uint64 `json:"canceled"`
-		Recovered  uint64 `json:"recovered"`
-	} `json:"asyncJobs"`
-}
-
-func (h *harness) finalStats() (finalStatsJSON, bool) {
+func (h *harness) finalStats() (api.Stats, bool) {
 	if h.cluster == 0 {
 		return fetchStats(h.client, h.base)
 	}
 	// Cluster: sum the per-node stats across survivors. Each node's
 	// accounting identity holds independently, so the sums do too; a
 	// node that won't answer voids the check rather than skewing it.
-	var sum finalStatsJSON
+	var sum api.Stats
 	for _, base := range h.rearmTargets() {
 		st, ok := fetchStats(h.client, base)
 		if !ok {
@@ -1061,8 +1049,8 @@ func (h *harness) finalStats() (finalStatsJSON, bool) {
 	return sum, true
 }
 
-func fetchStats(client *http.Client, base string) (finalStatsJSON, bool) {
-	var st finalStatsJSON
+func fetchStats(client *http.Client, base string) (api.Stats, bool) {
+	var st api.Stats
 	resp, err := client.Get(base + "/v1/stats")
 	if err != nil {
 		return st, false

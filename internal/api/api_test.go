@@ -1,0 +1,263 @@
+package api
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// The golden files under testdata were written by the build before
+// this package existed, from the types and helpers then private to
+// rcaserve. A byte that moves here changes what clients parse and
+// what an older WAL replays.
+
+func golden(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile("testdata/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestGoldenResponses pins the exact response bytes: indentation, the
+// field order and names, omitted empties and HTML escaping. Each
+// golden decodes strictly into its type and renders back unchanged.
+func TestGoldenResponses(t *testing.T) {
+	for _, tc := range []struct {
+		file   string
+		v      any
+		status int
+	}{
+		{"paper_example_response.json", new(JobResponse), http.StatusOK},
+		{"list_response.json", new(ListResponse), http.StatusOK},
+		{"submit_response.json", new(SubmitResponse), http.StatusAccepted},
+		{"stats.json", new(Stats), http.StatusOK},
+	} {
+		want := golden(t, tc.file)
+		if err := decode(want, tc.v); err != nil {
+			t.Fatalf("%s does not decode strictly into %T: %v", tc.file, tc.v, err)
+		}
+		rec := httptest.NewRecorder()
+		WriteJSON(rec, tc.status, tc.v)
+		if rec.Code != tc.status || rec.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("%s: status %d, Content-Type %q", tc.file, rec.Code, rec.Header().Get("Content-Type"))
+		}
+		if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+			t.Errorf("%s: bytes changed\n got: %s\nwant: %s", tc.file, got, want)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	WriteError(rec, http.StatusUnprocessableEntity, "job %d: %v", 3, errors.New(`needs a "pattern" or a <loop> & more`))
+	if want := golden(t, "error.json"); !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Errorf("error body changed\n got: %s\nwant: %s", rec.Body.Bytes(), want)
+	}
+
+	// The paper example itself: K=2, M=1 covers [1,0,2,-1,1,0,-2] at
+	// zero cost with the registers (a1,a2,a4,a7) and (a3,a5,a6).
+	var resp JobResponse
+	if err := decode(golden(t, "paper_example_response.json"), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if a := resp.Results[0]; a.Cost != 0 || a.RegistersUsed != 2 ||
+		!reflect.DeepEqual(a.Registers, [][]int{{0, 1, 3, 6}, {2, 4, 5}}) {
+		t.Errorf("paper example golden decodes to %+v", a)
+	}
+}
+
+// TestGoldenWAL pins the WAL payload and result bytes, and decodes the
+// golden records, so a log written by an earlier build still replays.
+func TestGoldenWAL(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		job  Job
+	}{
+		{"pattern_job.wal", Job{
+			Pattern: &Pattern{Array: "x", Stride: 2, Offsets: []int{1, 0, 2, -1, 1, 0, -2}},
+			AGU:     AGU{Registers: 2, ModifyRange: 1}, Wrap: true, Strategy: "optimal",
+		}},
+		{"loop_job.wal", Job{
+			Loop:     "for (i = 0; i <= N; i++) { y[i] = x[i] + x[i-1]; }",
+			Bindings: map[string]int{"N": 10, "B": -3},
+			AGU:      AGU{Registers: 3, ModifyRange: 2},
+		}},
+	} {
+		want := golden(t, tc.file)
+		got, err := EncodeRecord(tc.job)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: encoded %s (err %v)\nwant %s", tc.file, got, err, want)
+		}
+		decoded, err := DecodeJobPayload(want)
+		if err != nil || !reflect.DeepEqual(decoded, tc.job) {
+			t.Errorf("%s: decoded %+v (err %v), want %+v", tc.file, decoded, err, tc.job)
+		}
+	}
+
+	want := golden(t, "paper_example_result.wal")
+	res, err := DecodeJobResult(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := EncodeRecord(res); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("result re-encodes to %s (err %v)\nwant %s", got, err, want)
+	}
+}
+
+// randomJob draws a job over the whole wire shape, including strings
+// that JSON escapes.
+func randomJob(rng *rand.Rand) Job {
+	str := func() string {
+		runes := []rune("ax_<>&\"\\\n\té∑ 0")
+		out := make([]rune, rng.Intn(12))
+		for i := range out {
+			out[i] = runes[rng.Intn(len(runes))]
+		}
+		return string(out)
+	}
+	j := Job{
+		AGU:      AGU{Registers: rng.Intn(9) - 2, ModifyRange: rng.Intn(9) - 2},
+		Wrap:     rng.Intn(2) == 0,
+		Strategy: []string{"", "greedy", "naive", "smallest", "optimal", str()}[rng.Intn(6)],
+	}
+	if rng.Intn(2) == 0 {
+		p := &Pattern{Array: str(), Stride: rng.Intn(5) - 1, Offsets: make([]int, rng.Intn(40))}
+		for i := range p.Offsets {
+			p.Offsets[i] = rng.Intn(2001) - 1000
+		}
+		j.Pattern = p
+	}
+	if rng.Intn(2) == 0 {
+		j.Loop = str()
+	}
+	if n := rng.Intn(3); n > 0 {
+		j.Bindings = map[string]int{}
+		for i := 0; i < n; i++ {
+			j.Bindings[str()] = rng.Intn(1<<20) - 1<<19
+		}
+	}
+	return j
+}
+
+// TestJobRoundTrip: encode → decode is the identity on random jobs,
+// through the WAL codec and through WriteJSON plus the strict decoder.
+func TestJobRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		job := randomJob(rng)
+		b, err := EncodeRecord(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeJobPayload(b)
+		if err != nil || !reflect.DeepEqual(got, job) {
+			t.Fatalf("WAL round trip of %s: got %+v (err %v), want %+v", b, got, err, job)
+		}
+		rec := httptest.NewRecorder()
+		WriteJSON(rec, http.StatusOK, job)
+		var strict Job
+		if err := decode(rec.Body.Bytes(), &strict); err != nil || !reflect.DeepEqual(strict, job) {
+			t.Fatalf("wire round trip of %s: got %+v (err %v), want %+v", rec.Body.Bytes(), strict, err, job)
+		}
+	}
+}
+
+// TestSubmitEntries pins the one submission-shape rule node and
+// gateway both apply.
+func TestSubmitEntries(t *testing.T) {
+	pat := Job{Pattern: &Pattern{Offsets: []int{1}}}
+	loop := Job{Loop: "for (i = 0; i < 4; i++) a[i] = 0;"}
+	for _, tc := range []struct {
+		name    string
+		sub     Submit
+		want    int
+		wantErr string
+	}{
+		{"inline pattern", Submit{Job: pat}, 1, ""},
+		{"inline loop", Submit{Job: loop, Priority: 2}, 1, ""},
+		{"array", Submit{Jobs: []Job{pat, loop}}, 2, ""},
+		{"both forms", Submit{Job: pat, Jobs: []Job{loop}}, 0, "body mixes an inline job with a jobs array; pick one form"},
+		{"none", Submit{}, 0, "submission has no jobs"},
+		{"empty job", Submit{Jobs: []Job{pat, {}}}, 0, "job 1 needs a pattern or a loop"},
+		{"pattern and loop", Submit{Jobs: []Job{{Pattern: pat.Pattern, Loop: loop.Loop}}}, 0, "job 0 sets both pattern and loop; pick one"},
+	} {
+		got, err := tc.sub.Entries()
+		errText := ""
+		if err != nil {
+			errText = err.Error()
+		}
+		if len(got) != tc.want || errText != tc.wantErr {
+			t.Errorf("%s: %d entries, error %q; want %d, %q", tc.name, len(got), errText, tc.want, tc.wantErr)
+		}
+	}
+}
+
+// TestDecodeBodyStrict: unknown fields, trailing data and oversize
+// bodies are refused; an accepted body comes back verbatim.
+func TestDecodeBodyStrict(t *testing.T) {
+	ok := `{"pattern":{"offsets":[1,2]},"agu":{"registers":1,"modifyRange":1}}` + "\n"
+	for _, tc := range []struct {
+		body    string
+		wantErr string
+	}{
+		{ok, ""},
+		{`{"pattern":{"offsets":[1]},"agu":{"registers":1,"modifyRange":1},"zzz":1}`, `unknown field "zzz"`},
+		{`{"loop":"x"} {}`, "trailing data"},
+		{`{"loop":"` + strings.Repeat("x", MaxBodyBytes) + `"}`, "too large"},
+	} {
+		var job Job
+		r := httptest.NewRequest(http.MethodPost, "/v1/allocate", strings.NewReader(tc.body))
+		raw, err := DecodeBody(r, &job)
+		switch {
+		case tc.wantErr == "" && (err != nil || string(raw) != tc.body):
+			t.Errorf("body %.40q: err %v, raw %q", tc.body, err, raw)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("body %.40q: err %v, want %q", tc.body, err, tc.wantErr)
+		}
+	}
+}
+
+// FuzzDecodeJob: the strict decoder never panics, and any body it
+// accepts re-encodes to a job that decodes to an equal value.
+func FuzzDecodeJob(f *testing.F) {
+	for _, name := range []string{"pattern_job.wal", "loop_job.wal"} {
+		b, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, s := range []string{
+		`{}`, `null`, `[]`, `{"pattern":null}`, `{"pattern":{"offsets":[]}}`,
+		`{"bindings":{}}`, `{"bindings":{"N":1,"N":2}}`, `{"agu":{"registers":1e3}}`,
+		`{"loop":"<\ud800"}`, "{\"loop\":\"\xff\"}", `{"zzz":1}`, `{"loop":"x"} 1`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var job Job
+		if decode(data, &job) != nil {
+			return
+		}
+		b, err := EncodeRecord(job)
+		if err != nil {
+			t.Fatalf("accepted job does not encode: %v", err)
+		}
+		var again Job
+		if err := decode(b, &again); err != nil {
+			t.Fatalf("re-encoded job %s is refused: %v", b, err)
+		}
+		if len(job.Bindings) == 0 {
+			job.Bindings = nil // omitempty drops an empty map
+		}
+		if !reflect.DeepEqual(job, again) {
+			t.Fatalf("round trip through %s: got %+v, want %+v", b, again, job)
+		}
+	})
+}

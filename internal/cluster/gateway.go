@@ -20,8 +20,9 @@
 //	                       ownership follows the admitting node, not
 //	                       the ring, so rehashes never orphan a job.
 //	GET  /v1/stats         fleet aggregate + per-node raw stats.
-//	GET  /metrics          gateway families + node families summed
-//	                       across the fleet by sample identity.
+//	GET  /metrics          gateway families + node counters and
+//	                       histograms summed across the fleet; node
+//	                       gauges once per node, labeled node="<name>".
 //	GET  /healthz          200 while any node is up.
 //	GET  /v1/cluster       ring + member health introspection.
 //
@@ -41,6 +42,7 @@ import (
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,20 +50,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/deadline"
 	"dspaddr/internal/engine"
 	"dspaddr/internal/jobs"
-	"dspaddr/internal/model"
 	"dspaddr/internal/obs"
-)
-
-// maxBodyBytes mirrors the node-side request cap.
-const maxBodyBytes = 1 << 20
-
-// Node-side list bounds, mirrored for the fan-out window.
-const (
-	defaultListLimit = 100
-	maxListLimit     = 1000
 )
 
 // Options configures a Gateway.
@@ -231,7 +224,7 @@ func (g *Gateway) Handler() http.Handler {
 func (g *Gateway) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-Id")
-		if !validRequestID(id) {
+		if !api.ValidRequestID(id) {
 			id = fmt.Sprintf("g-%016x", rand.Uint64())
 		}
 		r.Header.Set("X-Request-Id", id)
@@ -242,20 +235,17 @@ func (g *Gateway) instrument(next http.Handler) http.Handler {
 			defer cancel()
 			r = r.WithContext(ctx)
 		}
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &api.StatusWriter{ResponseWriter: w}
 		start := time.Now()
 		if hasBudget && budget <= 0 {
 			g.deadlineExpired.Add(1)
-			writeError(sw, http.StatusGatewayTimeout, "deadline budget already spent")
+			api.WriteError(sw, http.StatusGatewayTimeout, "deadline budget already spent")
 		} else {
 			next.ServeHTTP(sw, r)
 		}
 		dur := time.Since(start)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		route := routeOf(r.URL.Path)
+		status := sw.Status()
+		route := api.RouteOf(r.URL.Path)
 		statusText := strconv.Itoa(status)
 		g.requests.Add(1)
 		g.httpReqs.Add(1, route, statusText)
@@ -267,118 +257,6 @@ func (g *Gateway) instrument(next http.Handler) http.Handler {
 	})
 }
 
-// statusWriter captures the response status for labeling.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// validRequestID mirrors the node's bound on echoed IDs.
-func validRequestID(id string) bool {
-	if id == "" || len(id) > 128 {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		if c := id[i]; c <= ' ' || c > '~' || c == '"' {
-			return false
-		}
-	}
-	return true
-}
-
-// routeOf bounds the by-route label set.
-func routeOf(path string) string {
-	switch path {
-	case "/v1/allocate", "/v1/batch", "/v1/jobs", "/v1/stats", "/v1/cluster",
-		"/metrics", "/healthz":
-		return path
-	}
-	if strings.HasPrefix(path, "/v1/jobs/") {
-		return "/v1/jobs/{id}"
-	}
-	return "other"
-}
-
-// ---- wire mirrors ---------------------------------------------------
-//
-// The gateway decodes just enough of the node wire shapes to validate
-// and route; the ORIGINAL body bytes are what gets forwarded, so the
-// owning node remains the source of truth for semantics. The mirrors
-// match cmd/rcaserve field for field and are decoded strictly, so the
-// gateway rejects exactly what a node would reject.
-
-type patternWire struct {
-	Array   string `json:"array,omitempty"`
-	Stride  int    `json:"stride,omitempty"`
-	Offsets []int  `json:"offsets"`
-}
-
-type aguWire struct {
-	Registers   int `json:"registers"`
-	ModifyRange int `json:"modifyRange"`
-}
-
-type jobWire struct {
-	Pattern  *patternWire   `json:"pattern,omitempty"`
-	Loop     string         `json:"loop,omitempty"`
-	Bindings map[string]int `json:"bindings,omitempty"`
-	AGU      aguWire        `json:"agu"`
-	Wrap     bool           `json:"wrap,omitempty"`
-	Strategy string         `json:"strategy,omitempty"`
-}
-
-type batchWire struct {
-	Jobs []json.RawMessage `json:"jobs"`
-}
-
-type submitWire struct {
-	jobWire
-	Jobs     []jobWire `json:"jobs,omitempty"`
-	Priority int       `json:"priority,omitempty"`
-}
-
-type errorJSON struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone — nothing left to do
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorJSON{Error: fmt.Sprintf(format, args...)})
-}
-
-// readBody buffers the capped request body.
-func readBody(r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-}
-
-// decodeStrict mirrors the node's decodeBody: unknown fields and
-// trailing garbage are errors.
-func decodeStrict(data []byte, v any) error {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if err := dec.Decode(new(any)); !errors.Is(err, io.EOF) {
-		return errors.New("trailing data after JSON body")
-	}
-	return nil
-}
-
 // ---- routing keys ---------------------------------------------------
 
 // routeKeyOf places one job on the ring. Pattern jobs use the
@@ -387,22 +265,9 @@ func decodeStrict(data []byte, v any) error {
 // bindings, parameters — which is stricter than the node-side
 // equivalence (two differently-written loops with equal access
 // patterns route apart) but never splits a repeated campaign.
-func routeKeyOf(j *jobWire) uint64 {
+func routeKeyOf(j *api.Job) uint64 {
 	if j.Pattern != nil {
-		stride := j.Pattern.Stride
-		if stride == 0 {
-			stride = 1
-		}
-		return engine.RouteKey(engine.Request{
-			Pattern: model.Pattern{
-				Array:   j.Pattern.Array,
-				Stride:  stride,
-				Offsets: j.Pattern.Offsets,
-			},
-			AGU:            model.AGUSpec{Registers: j.AGU.Registers, ModifyRange: j.AGU.ModifyRange},
-			InterIteration: j.Wrap,
-			Strategy:       j.Strategy,
-		})
+		return engine.RouteKey(j.EngineRequest())
 	}
 	h := hashString(j.Loop)
 	if len(j.Bindings) > 0 {
@@ -434,7 +299,7 @@ func routeKeyOf(j *jobWire) uint64 {
 // node. Single-job submissions share their key with the identical
 // /v1/allocate request, co-locating a campaign's sync and async
 // halves.
-func combinedKey(entries []jobWire) uint64 {
+func combinedKey(entries []api.Job) uint64 {
 	if len(entries) == 1 {
 		return routeKeyOf(&entries[0])
 	}
@@ -467,7 +332,7 @@ func copyResponse(w http.ResponseWriter, resp *nodeResponse) {
 // rehash happens within the health-check window.
 func (g *Gateway) writeUnavailable(w http.ResponseWriter, err error) {
 	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, "no node available: %v", err)
+	api.WriteError(w, http.StatusServiceUnavailable, "no node available: %v", err)
 }
 
 // writeForwardError classifies a failed forward for the client: a
@@ -478,7 +343,7 @@ func (g *Gateway) writeForwardError(w http.ResponseWriter, r *http.Request, err 
 	if ctxErr := r.Context().Err(); ctxErr != nil {
 		if errors.Is(ctxErr, context.DeadlineExceeded) {
 			g.deadlineExpired.Add(1)
-			writeError(w, http.StatusGatewayTimeout, "deadline budget spent: %v", err)
+			api.WriteError(w, http.StatusGatewayTimeout, "deadline budget spent: %v", err)
 		}
 		return
 	}
@@ -489,17 +354,13 @@ func (g *Gateway) writeForwardError(w http.ResponseWriter, r *http.Request, err 
 
 func (g *Gateway) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := readBody(r)
+	var job api.Job
+	body, err := api.DecodeBody(r, &job)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	var job jobWire
-	if err := decodeStrict(body, &job); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	// Pure compute is idempotent: retry once on the next replica.
@@ -515,21 +376,17 @@ func (g *Gateway) handleAllocate(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := readBody(r)
+	var batch api.BatchRequest
+	body, err := api.DecodeBody(r, &batch)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	var batch batchWire
-	if err := decodeStrict(body, &batch); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if len(batch.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "batch has no jobs")
+		api.WriteError(w, http.StatusBadRequest, "batch has no jobs")
 		return
 	}
 	// Route every job; group request indices by destination node.
@@ -539,13 +396,8 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	groups := map[string]*group{}
 	order := []string{}
-	for i, raw := range batch.Jobs {
-		var job jobWire
-		if err := decodeStrict(raw, &job); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: job %d: %v", i, err)
-			return
-		}
-		m := g.fleet.FirstRoutable(routeKeyOf(&job))
+	for i := range batch.Jobs {
+		m := g.fleet.FirstRoutable(routeKeyOf(&batch.Jobs[i]))
 		if m == nil {
 			g.writeUnavailable(w, ErrAllReplicasDown)
 			return
@@ -572,9 +424,11 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Fan the sub-batches out concurrently, stitch results back into
-	// request order. A node that fails mid-flight yields inline
-	// per-job errors — batch semantics stay "200 once the body
-	// parses", exactly like node-local per-job failures.
+	// request order. Each sub-batch is re-encoded from the decoded
+	// jobs, which the node decodes to the same values. A node that
+	// fails mid-flight yields inline per-job errors — batch semantics
+	// stay "200 once the body parses", exactly like node-local per-job
+	// failures.
 	start := time.Now()
 	results := make([]json.RawMessage, len(batch.Jobs))
 	var wg sync.WaitGroup
@@ -583,7 +437,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(gr *group) {
 			defer wg.Done()
-			sub := batchWire{Jobs: make([]json.RawMessage, len(gr.indices))}
+			sub := api.BatchRequest{Jobs: make([]api.Job, len(gr.indices))}
 			for i, idx := range gr.indices {
 				sub.Jobs[i] = batch.Jobs[idx]
 			}
@@ -614,7 +468,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(gr)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, struct {
+	api.WriteJSON(w, http.StatusOK, struct {
 		Results       []json.RawMessage `json:"results"`
 		ElapsedMicros int64             `json:"elapsedMicros"`
 	}{results, time.Since(start).Microseconds()})
@@ -622,9 +476,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // fillBatchErrors stamps an inline error result on each index.
 func (g *Gateway) fillBatchErrors(results []json.RawMessage, indices []int, msg string) {
-	raw, _ := json.Marshal(struct { //nolint:errcheck // marshal of a string cannot fail
-		Error string `json:"error"`
-	}{msg})
+	raw, _ := json.Marshal(api.JobResponse{Error: msg}) //nolint:errcheck // marshal of a string cannot fail
 	for _, idx := range indices {
 		results[idx] = raw
 	}
@@ -639,32 +491,20 @@ func (g *Gateway) handleJobsCollection(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		g.handleJobList(w, r)
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "POST or GET only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "POST or GET only")
 	}
 }
 
 func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
+	var sub api.Submit
+	body, err := api.DecodeBody(r, &sub)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	var sub submitWire
-	if err := decodeStrict(body, &sub); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	single := sub.Pattern != nil || sub.Loop != ""
-	if single && len(sub.Jobs) > 0 {
-		writeError(w, http.StatusBadRequest, "body mixes an inline job with a jobs array; pick one form")
-		return
-	}
-	entries := sub.Jobs
-	if single {
-		entries = []jobWire{sub.jobWire}
-	}
-	if len(entries) == 0 {
-		writeError(w, http.StatusBadRequest, "submission has no jobs")
+	entries, err := sub.Entries()
+	if err != nil {
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	m := g.fleet.FirstRoutable(combinedKey(entries))
@@ -683,7 +523,7 @@ func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
+		api.WriteError(w, http.StatusServiceUnavailable,
 			"node %s unreachable mid-submit (admission unknown): %v", m.Name, err)
 		return
 	}
@@ -696,30 +536,31 @@ func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleJobList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	state := q.Get("state")
-	offset, err := queryInt(q.Get("offset"), 0)
+	offset, err := api.QueryInt(q.Get("offset"), 0)
 	if err != nil || offset < 0 {
-		writeError(w, http.StatusBadRequest, "bad offset")
+		api.WriteError(w, http.StatusBadRequest, "bad offset")
 		return
 	}
-	limit, err := queryInt(q.Get("limit"), defaultListLimit)
+	limit, err := api.QueryInt(q.Get("limit"), api.DefaultListLimit)
 	if err != nil || limit <= 0 {
-		writeError(w, http.StatusBadRequest, "bad limit")
+		api.WriteError(w, http.StatusBadRequest, "bad limit")
 		return
 	}
-	if limit > maxListLimit {
-		limit = maxListLimit
+	if limit > api.MaxListLimit {
+		limit = api.MaxListLimit
 	}
 	// Each node must return its full window up to offset+limit so the
 	// merged slice is exact (a job at global offset 40 may be any
 	// node's 0th).
 	window := offset + limit
-	if window > maxListLimit {
-		window = maxListLimit
+	if window > api.MaxListLimit {
+		window = api.MaxListLimit
 	}
-	path := fmt.Sprintf("/v1/jobs?offset=0&limit=%d", window)
+	fanout := url.Values{"offset": {"0"}, "limit": {strconv.Itoa(window)}}
 	if state != "" {
-		path += "&state=" + urlQueryEscape(state)
+		fanout.Set("state", state)
 	}
+	path := "/v1/jobs?" + fanout.Encode()
 
 	type nodePage struct {
 		jobs  []json.RawMessage
@@ -774,7 +615,7 @@ func (g *Gateway) handleJobList(w http.ResponseWriter, r *http.Request) {
 	answered := 0
 	for i := range pages {
 		if pages[i].err == errBadListQuery {
-			writeError(w, http.StatusBadRequest, "unknown state %q", state)
+			api.WriteError(w, http.StatusBadRequest, "unknown state %q", state)
 			return
 		}
 		if pages[i].err != nil {
@@ -815,7 +656,7 @@ func (g *Gateway) handleJobList(w http.ResponseWriter, r *http.Request) {
 	for i := range merged {
 		out[i] = merged[i].raw
 	}
-	writeJSON(w, http.StatusOK, struct {
+	api.WriteJSON(w, http.StatusOK, struct {
 		Jobs   []json.RawMessage `json:"jobs"`
 		Total  int               `json:"total"`
 		Offset int               `json:"offset"`
@@ -831,29 +672,29 @@ var errBadListQuery = errors.New("cluster: bad list query")
 // now — so a rehash after a mark-down never orphans existing jobs.
 func (g *Gateway) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodDelete {
-		writeError(w, http.StatusMethodNotAllowed, "GET or DELETE only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET or DELETE only")
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusNotFound, "no such resource")
+		api.WriteError(w, http.StatusNotFound, "no such resource")
 		return
 	}
 	tag := jobs.NodeOf(id)
 	if tag == "" {
-		writeError(w, http.StatusNotFound, "job %s not found (no node tag)", id)
+		api.WriteError(w, http.StatusNotFound, "job %s not found (no node tag)", id)
 		return
 	}
 	m := g.fleet.Member(tag)
 	if m == nil {
-		writeError(w, http.StatusNotFound, "job %s not found (unknown node %q)", id, tag)
+		api.WriteError(w, http.StatusNotFound, "job %s not found (unknown node %q)", id, tag)
 		return
 	}
 	if !m.Up() {
 		// The job's state lives only on its owner; it may return (WAL
 		// replay) — tell the client to retry rather than lying 404.
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "job %s: owning node %s is down", id, tag)
+		api.WriteError(w, http.StatusServiceUnavailable, "job %s: owning node %s is down", id, tag)
 		return
 	}
 	var resp *nodeResponse
@@ -873,35 +714,13 @@ func (g *Gateway) handleJobByID(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "job %s: owning node %s unreachable: %v", id, tag, err)
+		api.WriteError(w, http.StatusServiceUnavailable, "job %s: owning node %s unreachable: %v", id, tag, err)
 		return
 	}
 	copyResponse(w, resp)
 }
 
 // ---- /v1/stats -------------------------------------------------------
-
-// nodeStatsSubset is the slice of a node's /v1/stats the fleet
-// aggregate sums (field names match cmd/rcaserve's statsJSON).
-type nodeStatsSubset struct {
-	Jobs        uint64 `json:"jobs"`
-	CacheHits   uint64 `json:"cacheHits"`
-	CacheMisses uint64 `json:"cacheMisses"`
-	Deduped     uint64 `json:"deduped"`
-	Errors      uint64 `json:"errors"`
-	Timeouts    uint64 `json:"timeouts"`
-	AsyncJobs   struct {
-		Submitted uint64 `json:"submitted"`
-		Rejected  uint64 `json:"rejected"`
-		Done      uint64 `json:"done"`
-		Failed    uint64 `json:"failed"`
-		TimedOut  uint64 `json:"timedOut"`
-		Canceled  uint64 `json:"canceled"`
-		Recovered uint64 `json:"recovered"`
-		Depth     int    `json:"queueDepth"`
-		Running   int    `json:"running"`
-	} `json:"asyncJobs"`
-}
 
 // fleetStatsJSON is the summed cross-node view.
 type fleetStatsJSON struct {
@@ -942,7 +761,7 @@ type gatewayStatsJSON struct {
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	up := g.upMembers()
@@ -967,7 +786,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		nodes[m.Name] = perNode[i]
-		var s nodeStatsSubset
+		var s api.Stats
 		if err := json.Unmarshal(perNode[i], &s); err != nil {
 			continue
 		}
@@ -983,7 +802,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		fleet.AsyncTimedOut += s.AsyncJobs.TimedOut
 		fleet.AsyncCanceled += s.AsyncJobs.Canceled
 		fleet.AsyncRecovered += s.AsyncJobs.Recovered
-		fleet.AsyncQueued += s.AsyncJobs.Depth
+		fleet.AsyncQueued += s.AsyncJobs.QueueDepth
 		fleet.AsyncRunning += s.AsyncJobs.Running
 	}
 	if looked := fleet.CacheHits + fleet.CacheMisses; looked > 0 {
@@ -993,7 +812,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	for _, m := range g.fleet.Members() {
 		breakers[m.Name] = m.BreakerState().String()
 	}
-	writeJSON(w, http.StatusOK, struct {
+	api.WriteJSON(w, http.StatusOK, struct {
 		Fleet   fleetStatsJSON             `json:"fleet"`
 		Nodes   map[string]json.RawMessage `json:"nodes"`
 		Gateway gatewayStatsJSON           `json:"gateway"`
@@ -1014,12 +833,10 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 // ---- /metrics --------------------------------------------------------
 
 // handleMetrics renders the gateway's own families followed by the
-// node families summed across the fleet: samples with identical name
-// and label set add up (counters and histogram buckets aggregate
-// correctly; summed gauges read as fleet totals).
+// node families aggregated across the fleet (see writeAggregated).
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -1060,11 +877,20 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}(i, m)
 	}
 	wg.Wait()
-	writeAggregated(w, scrapes)
+	nodes := make([]string, len(up))
+	for i, m := range up {
+		nodes[i] = m.Name
+	}
+	writeAggregated(w, nodes, scrapes)
 }
 
-// writeAggregated merges the scraped families and renders them.
-func writeAggregated(w io.Writer, scrapes []map[string]*obs.Family) {
+// writeAggregated merges the families scraped from nodes[i] and
+// renders them. Counter samples and histogram _bucket, _sum and _count
+// samples with identical name and labels add up across the fleet.
+// Gauge and untyped samples do not: a summed uptime, build_info or
+// quantile means nothing, so each node's sample is re-emitted once
+// with a node="<name>" label added.
+func writeAggregated(w io.Writer, nodes []string, scrapes []map[string]*obs.Family) {
 	type key struct {
 		sample string
 		labels string
@@ -1072,10 +898,7 @@ func writeAggregated(w io.Writer, scrapes []map[string]*obs.Family) {
 	merged := map[string]*obs.Family{}
 	order := map[string][]key{}
 	values := map[string]map[key]float64{}
-	for _, fams := range scrapes {
-		if fams == nil {
-			continue
-		}
+	for i, fams := range scrapes {
 		for name, f := range fams {
 			mf := merged[name]
 			if mf == nil {
@@ -1083,8 +906,17 @@ func writeAggregated(w io.Writer, scrapes []map[string]*obs.Family) {
 				merged[name] = mf
 				values[name] = map[key]float64{}
 			}
+			additive := f.Type == "counter" || f.Type == "histogram"
 			for _, s := range f.Samples {
-				k := key{sample: s.Name, labels: renderSortedLabels(s.Labels)}
+				labels := s.Labels
+				if !additive {
+					labels = make(map[string]string, len(s.Labels)+1)
+					for k, v := range s.Labels {
+						labels[k] = v
+					}
+					labels["node"] = nodes[i]
+				}
+				k := key{sample: s.Name, labels: renderSortedLabels(labels)}
 				if _, seen := values[name][k]; !seen {
 					order[name] = append(order[name], k)
 				}
@@ -1138,7 +970,7 @@ func renderSortedLabels(labels map[string]string) string {
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeError(w, http.StatusMethodNotAllowed, "GET or HEAD only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET or HEAD only")
 		return
 	}
 	up, total := g.fleet.UpCount(), len(g.fleet.Members())
@@ -1176,7 +1008,7 @@ type clusterNodeJSON struct {
 
 func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	out := clusterJSON{RingPoints: g.fleet.Ring().Size()}
@@ -1189,7 +1021,7 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 		n.BreakerSamples, n.BreakerFailed = m.BreakerWindow()
 		out.Nodes = append(out.Nodes, n)
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // ---- small helpers ---------------------------------------------------
@@ -1202,16 +1034,4 @@ func (g *Gateway) upMembers() []*Member {
 		}
 	}
 	return out
-}
-
-func queryInt(raw string, def int) (int, error) {
-	if raw == "" {
-		return def, nil
-	}
-	return strconv.Atoi(raw)
-}
-
-func urlQueryEscape(s string) string {
-	// Job states are lowercase words; escape defensively anyway.
-	return strings.NewReplacer("&", "%26", "=", "%3D", "#", "%23", " ", "%20", "+", "%2B").Replace(s)
 }

@@ -10,6 +10,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dspaddr/internal/api"
+	"dspaddr/internal/jobs"
+	"dspaddr/internal/obs"
 )
 
 // fakeNode is a scriptable stand-in for one rcaserve process.
@@ -372,7 +376,7 @@ func TestGatewayBatchStitch(t *testing.T) {
 	}
 	// Every result names the node its job's key routes to.
 	for i, res := range out.Results {
-		var job jobWire
+		var job api.Job
 		if err := json.Unmarshal([]byte(jobs[i]), &job); err != nil {
 			t.Fatal(err)
 		}
@@ -437,7 +441,9 @@ func TestGatewayStatsAggregation(t *testing.T) {
 }
 
 // TestGatewayMetricsAggregation asserts /metrics carries the gateway
-// families plus node families summed by sample identity.
+// families plus the node families aggregated across the fleet:
+// counters and histogram samples summed, gauges once per node with a
+// node label (a summed build_info or uptime would mean nothing).
 func TestGatewayMetricsAggregation(t *testing.T) {
 	mk := func(name string, reqs int) *fakeNode {
 		n := newFakeNode(name)
@@ -446,6 +452,11 @@ func TestGatewayMetricsAggregation(t *testing.T) {
 				w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 				fmt.Fprintf(w, "# HELP rcaserve_http_requests_total Total HTTP requests.\n# TYPE rcaserve_http_requests_total counter\nrcaserve_http_requests_total %d\n", reqs)
 				fmt.Fprintf(w, "# HELP rcaserve_queue_depth Queue depth.\n# TYPE rcaserve_queue_depth gauge\nrcaserve_queue_depth{shard=\"0\"} %d\n", reqs)
+				fmt.Fprintf(w, "# HELP rcaserve_build_info Build identity.\n# TYPE rcaserve_build_info gauge\nrcaserve_build_info{version=\"v1\"} 1\n")
+				fmt.Fprintf(w, "# HELP rcaserve_uptime_seconds Process uptime.\n# TYPE rcaserve_uptime_seconds gauge\nrcaserve_uptime_seconds %d.5\n", reqs*10)
+				fmt.Fprintf(w, "# HELP rcaserve_solve_seconds Solve latency.\n# TYPE rcaserve_solve_seconds histogram\n"+
+					"rcaserve_solve_seconds_bucket{le=\"0.1\"} %d\nrcaserve_solve_seconds_bucket{le=\"+Inf\"} %d\n"+
+					"rcaserve_solve_seconds_sum %d\nrcaserve_solve_seconds_count %d\n", reqs-1, reqs, reqs, reqs)
 				return true
 			}
 			return false
@@ -464,15 +475,62 @@ func TestGatewayMetricsAggregation(t *testing.T) {
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	text := string(raw)
-	if !strings.Contains(text, "rcaserve_http_requests_total 7") {
-		t.Fatalf("counter not summed across nodes:\n%s", text)
-	}
-	if !strings.Contains(text, `rcaserve_queue_depth{shard="0"} 7`) {
-		t.Fatalf("labeled gauge not summed:\n%s", text)
-	}
 	for _, fam := range []string{"rcagate_nodes_up 2", "rcagate_node_up{node=\"n1\"} 1", "rcagate_http_route_requests_total"} {
 		if !strings.Contains(text, fam) {
 			t.Fatalf("missing gateway family %q:\n%s", fam, text)
+		}
+	}
+	fams, err := obs.ParseExposition(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("aggregate does not parse: %v\n%s", err, text)
+	}
+	// samples maps "name{sorted labels}" to value for one family.
+	samples := func(family string) map[string]float64 {
+		f := fams[family]
+		if f == nil {
+			t.Fatalf("family %s missing:\n%s", family, text)
+		}
+		out := map[string]float64{}
+		for _, s := range f.Samples {
+			key := s.Name + "{" + renderSortedLabels(s.Labels) + "}"
+			if _, dup := out[key]; dup {
+				t.Errorf("%s emitted twice", key)
+			}
+			out[key] = s.Value
+		}
+		return out
+	}
+	want := map[string]map[string]float64{
+		"rcaserve_http_requests_total": {"rcaserve_http_requests_total{}": 7},
+		"rcaserve_solve_seconds": {
+			`rcaserve_solve_seconds_bucket{le="0.1"}`:  5,
+			`rcaserve_solve_seconds_bucket{le="+Inf"}`: 7,
+			"rcaserve_solve_seconds_sum{}":             7,
+			"rcaserve_solve_seconds_count{}":           7,
+		},
+		"rcaserve_queue_depth": {
+			`rcaserve_queue_depth{node="n1",shard="0"}`: 3,
+			`rcaserve_queue_depth{node="n2",shard="0"}`: 4,
+		},
+		"rcaserve_build_info": {
+			`rcaserve_build_info{node="n1",version="v1"}`: 1,
+			`rcaserve_build_info{node="n2",version="v1"}`: 1,
+		},
+		"rcaserve_uptime_seconds": {
+			`rcaserve_uptime_seconds{node="n1"}`: 30.5,
+			`rcaserve_uptime_seconds{node="n2"}`: 40.5,
+		},
+	}
+	for family, wantSamples := range want {
+		got := samples(family)
+		if len(got) != len(wantSamples) {
+			t.Errorf("%s: got samples %v, want %v", family, got, wantSamples)
+			continue
+		}
+		for key, v := range wantSamples {
+			if got[key] != v {
+				t.Errorf("%s = %v, want %v (all: %v)", key, got[key], v, got)
+			}
 		}
 	}
 }
@@ -524,6 +582,56 @@ func TestGatewayListMerge(t *testing.T) {
 	}
 	if !strings.HasPrefix(out.Jobs[0].ID, "j-n1-") || !strings.HasPrefix(out.Jobs[1].ID, "j-n2-") {
 		t.Fatalf("merge order wrong: %s", raw)
+	}
+}
+
+// TestGatewayListStateEscaped asserts the fan-out list query carries
+// ?state= to the nodes exactly as the client sent it, so a state a
+// node would reject is rejected through the gateway too, never
+// silently dropped into an unfiltered listing.
+func TestGatewayListStateEscaped(t *testing.T) {
+	n := newFakeNode("n1")
+	defer n.srv.Close()
+	var seen []string
+	n.handler = func(w http.ResponseWriter, r *http.Request) bool {
+		if r.URL.Path != "/v1/jobs" || r.Method != http.MethodGet {
+			return false
+		}
+		// Answer as a node does: an unknown state is a 400.
+		state := jobs.State(r.URL.Query().Get("state"))
+		n.mu.Lock()
+		seen = append(seen, string(state))
+		n.mu.Unlock()
+		if state != "" && !jobs.ValidState(state) {
+			api.WriteError(w, http.StatusBadRequest, "unknown state %q", state)
+			return true
+		}
+		api.WriteJSON(w, http.StatusOK, api.ListResponse{Jobs: []api.JobStatus{}, Limit: 100})
+		return true
+	}
+	_, srv := newTestGateway(t, n)
+
+	for _, tc := range []struct {
+		query     string
+		wantState string
+		want      int
+	}{
+		{"state=%25", "%", http.StatusBadRequest},
+		{"state=done%26state%3Dqueued", "done&state=queued", http.StatusBadRequest},
+		{"state=done", "done", http.StatusOK},
+	} {
+		resp, err := http.Get(srv.URL + "/v1/jobs?" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain
+		resp.Body.Close()
+		n.mu.Lock()
+		got := seen[len(seen)-1]
+		n.mu.Unlock()
+		if resp.StatusCode != tc.want || got != tc.wantState {
+			t.Errorf("?%s: status %d, node saw state %q; want %d and %q", tc.query, resp.StatusCode, got, tc.want, tc.wantState)
+		}
 	}
 }
 
@@ -587,8 +695,8 @@ func TestGatewayHealthzAndCluster(t *testing.T) {
 // TestRouteKeyLoopJobs asserts loop-source submissions route
 // deterministically and bindings participate in the key.
 func TestRouteKeyLoopJobs(t *testing.T) {
-	j1 := jobWire{Loop: "for (i=0; i<N; i++) a[i] = a[i+1];", Bindings: map[string]int{"N": 64}}
-	j2 := jobWire{Loop: "for (i=0; i<N; i++) a[i] = a[i+1];", Bindings: map[string]int{"N": 64}}
+	j1 := api.Job{Loop: "for (i=0; i<N; i++) a[i] = a[i+1];", Bindings: map[string]int{"N": 64}}
+	j2 := api.Job{Loop: "for (i=0; i<N; i++) a[i] = a[i+1];", Bindings: map[string]int{"N": 64}}
 	if routeKeyOf(&j1) != routeKeyOf(&j2) {
 		t.Fatal("identical loop jobs route apart")
 	}
@@ -597,8 +705,8 @@ func TestRouteKeyLoopJobs(t *testing.T) {
 		t.Fatal("binding change did not change the route")
 	}
 	// Default strategy spellings share a route.
-	g1 := jobWire{Loop: "x", Strategy: ""}
-	g2 := jobWire{Loop: "x", Strategy: "greedy"}
+	g1 := api.Job{Loop: "x", Strategy: ""}
+	g2 := api.Job{Loop: "x", Strategy: "greedy"}
 	if routeKeyOf(&g1) != routeKeyOf(&g2) {
 		t.Fatal(`"" and "greedy" should share a route`)
 	}

@@ -249,10 +249,14 @@ func NewTrafficGen(seed int64, opts TrafficOptions) *TrafficGen {
 		// DSL; the rest are small random patterns.
 		if i%4 == 3 {
 			k := kernels()[names[g.rng.Intn(len(names))]]
+			agu := g.randomAGU()
+			// A loop needs one register per array (the server answers
+			// 422 to fewer): K is drawn from [arrays, arrays+3].
+			agu.Registers += len(k.Loop.Arrays()) - 1
 			g.pool = append(g.pool, JobSpec{
 				Loop:     k.Source,
 				Bindings: k.Bindings,
-				AGU:      g.randomAGU(),
+				AGU:      agu,
 				Wrap:     g.rng.Intn(4) == 0,
 			})
 			continue

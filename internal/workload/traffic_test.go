@@ -3,6 +3,8 @@ package workload
 import (
 	"reflect"
 	"testing"
+
+	"dspaddr/internal/frontend"
 )
 
 // TestTrafficDeterminism: same (seed, options) ⇒ byte-identical op
@@ -89,6 +91,30 @@ func TestTrafficPoolReuse(t *testing.T) {
 	}
 	if reused < 10 {
 		t.Fatalf("only %d spec keys repeated across 400 sync ops — pool reuse broken", reused)
+	}
+}
+
+// TestTrafficLoopsFeasible: every pooled loop spec has at least one
+// register per array, so no loop job is refused as infeasible.
+func TestTrafficLoopsFeasible(t *testing.T) {
+	loops := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, spec := range NewTrafficGen(seed, TrafficOptions{}).pool {
+			if !spec.IsLoop() {
+				continue
+			}
+			loops++
+			prog, err := frontend.Parse(spec.Loop, spec.Bindings)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if arrays := len(prog.Loop.Arrays()); spec.AGU.Registers < arrays {
+				t.Errorf("seed %d: loop with %d arrays drawn with K=%d", seed, arrays, spec.AGU.Registers)
+			}
+		}
+	}
+	if loops == 0 {
+		t.Fatal("no loop specs pooled")
 	}
 }
 
