@@ -194,14 +194,9 @@ func measureBaseline() (benchBaseline, error) {
 
 	// The same cold batch with full observability on: every iteration
 	// runs under a request trace (phase spans record throughout the
-	// engine and solver) and the solve histogram observes each miss.
-	// compareBaselines holds this within obsOverheadTolerance of the
-	// untraced batch above.
-	obsEng := engine.New(engine.Options{
-		Workers:   8,
-		CacheSize: -1,
-		SolveHist: obs.NewHistogram("bench_solve_seconds", "bench-only sink", nil),
-	})
+	// engine and solver). compareBaselines holds this within
+	// obsOverheadTolerance of the untraced batch above.
+	obsEng := engine.New(engine.Options{Workers: 8, CacheSize: -1})
 	defer obsEng.Close()
 	record(batchObsBenchKey, testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()

@@ -38,12 +38,6 @@
 //	-breaker-half-open-every duration  half-open trickle interval (default 250ms)
 //	-breaker-close-after int  consecutive fast successes that close a
 //	                          half-open breaker (default 3)
-//	-hedge-disable            turn hedged reads off
-//	-hedge-quantile float     forward-latency quantile arming the hedge timer (default 0.95)
-//	-hedge-min-delay duration lower clamp on the derived hedge delay (default 10ms)
-//	-hedge-max-delay duration upper clamp, and the delay while the latency
-//	                          window is empty (default 1s)
-//	-hedge-fixed-delay duration  fixed hedge delay bypassing the quantile
 //	-log-format string        structured log encoding: text or json (default "text")
 //	-version                  print the build version and exit
 //
@@ -108,11 +102,6 @@ func run(args []string) error {
 	breakerOpenFor := fs.Duration("breaker-open-for", 0, "how long an open breaker refuses before half-opening (0 = 2s default)")
 	breakerHalfOpenEvery := fs.Duration("breaker-half-open-every", 0, "half-open trickle: at most one admission per interval (0 = 250ms default)")
 	breakerCloseAfter := fs.Int("breaker-close-after", 0, "consecutive fast successes that close a half-open breaker (0 = 3 default)")
-	hedgeDisable := fs.Bool("hedge-disable", false, "turn hedged reads off (idempotent GETs degrade to single requests)")
-	hedgeQuantile := fs.Float64("hedge-quantile", 0, "forward-latency quantile that arms the hedge timer (0 = 0.95 default)")
-	hedgeMinDelay := fs.Duration("hedge-min-delay", 0, "lower clamp on the derived hedge delay (0 = 10ms default)")
-	hedgeMaxDelay := fs.Duration("hedge-max-delay", 0, "upper clamp on the derived hedge delay; also the delay with an empty latency window (0 = 1s default)")
-	hedgeFixedDelay := fs.Duration("hedge-fixed-delay", 0, "fixed hedge delay bypassing the quantile (0 = derive from latency)")
 	logFormat := fs.String("log-format", "text", "structured log encoding: text or json")
 	version := fs.Bool("version", false, "print the build version and exit")
 	if err := fs.Parse(args); err != nil {
@@ -157,13 +146,6 @@ func run(args []string) error {
 		Version:        buildVersion(),
 		ForwardTimeout: *forwardTimeout,
 		Logger:         logger,
-		Hedge: cluster.HedgeOptions{
-			Disabled:   *hedgeDisable,
-			Quantile:   *hedgeQuantile,
-			MinDelay:   *hedgeMinDelay,
-			MaxDelay:   *hedgeMaxDelay,
-			FixedDelay: *hedgeFixedDelay,
-		},
 	})
 	if err != nil {
 		return err

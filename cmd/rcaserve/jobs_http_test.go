@@ -366,6 +366,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rcaserve_queue_depth":                         0,
 		"rcaserve_jobs_running":                        0,
 		"rcaserve_store_size":                          3,
+		// All three jobs were dispatched and ran (the bad loop fails
+		// inside its run), so each stage histogram holds three.
+		"rcaserve_job_run_duration_seconds_count":                    3,
+		`rcaserve_job_queue_wait_duration_seconds_bucket{le="+Inf"}`: 3,
 	}
 	for name, want := range checks {
 		got, ok := samples[name]
@@ -379,13 +383,18 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rcaserve_engine_cache_hits_total", "rcaserve_engine_cache_misses_total",
 		"rcaserve_engine_deduped_total", "rcaserve_engine_cache_entries",
 		"rcaserve_engine_cache_capacity", "rcaserve_engine_cache_shards",
-		`rcaserve_job_run_seconds{quantile="0.5"}`, `rcaserve_job_queue_wait_seconds{quantile="0.99"}`,
+		"rcaserve_engine_solve_duration_seconds_count", "rcaserve_job_run_duration_seconds_sum",
 		"rcaserve_store_evictions_total", "rcaserve_jobs_rejected_total",
 		"rcaserve_http_requests_total", "rcaserve_uptime_seconds",
 		`rcaserve_build_info{version="test"}`,
 	} {
 		if _, ok := samples[name]; !ok {
 			t.Errorf("metric %s missing", name)
+		}
+	}
+	for name := range samples {
+		if strings.Contains(name, "{quantile=") {
+			t.Errorf("summary-style sample %s exported; percentiles come from the histograms", name)
 		}
 	}
 	if samples["rcaserve_engine_cache_hits_total"] < 1 {
@@ -396,6 +405,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if n := samples["rcaserve_engine_cache_shards"]; n < 1 || float64(int(n)) != n || int(n)&(int(n)-1) != 0 {
 		t.Errorf("cache shard gauge %g is not a positive power of two", n)
+	}
+	// /v1/stats reads its percentiles from the same histograms.
+	st := getStats(t, ts)
+	if st.SolveP50Micros <= 0 || st.AsyncJobs.QueueWaitP50Micros <= 0 || st.AsyncJobs.RunP99Micros <= 0 {
+		t.Errorf("/v1/stats percentiles zero after solves and jobs: solveP50 %g queueWaitP50 %g runP99 %g",
+			st.SolveP50Micros, st.AsyncJobs.QueueWaitP50Micros, st.AsyncJobs.RunP99Micros)
 	}
 }
 

@@ -159,8 +159,7 @@ func run(args []string) error {
 			"faults", injector.String())
 	}
 
-	// The bundle exists before the engine so the solve-latency
-	// histogram can be observed from inside the worker pool.
+	// The bundle exists before the WAL so boot replay is timed.
 	ob := newObservability(logger, *traceMin, 0)
 
 	eng := engine.New(engine.Options{
@@ -170,7 +169,6 @@ func run(args []string) error {
 		ShedTarget: *shedTarget,
 		ShedWindow: *shedWindow,
 		Faults:     injector,
-		SolveHist:  ob.solveHist,
 	})
 	defer eng.Close()
 

@@ -32,9 +32,6 @@ func newTestServerWith(t *testing.T, opts engine.Options, sopts serverOptions) *
 	if sopts.obs == nil {
 		sopts.obs = newObservability(nil, -1, 0)
 	}
-	if opts.SolveHist == nil {
-		opts.SolveHist = sopts.obs.solveHist
-	}
 	eng := engine.New(opts)
 	s := newServer(eng, sopts)
 	ts := httptest.NewServer(s.handler())

@@ -4,11 +4,11 @@
 //
 // Exported families cover the async pipeline stage by stage (queue
 // depth and rejections, running jobs, store size and evictions,
-// queue-wait/run latency quantiles AND native histograms), the engine
-// underneath (cache hits/misses, solve latency quantiles and
-// histogram, terminal outcome counters), HTTP serving (total plus
-// by-route/status counts and latency histograms) and the process
-// (uptime, build info, goroutines, GC pause, heap, open fds).
+// queue-wait/run latency histograms), the engine underneath (cache
+// hits/misses, solve latency histogram, terminal outcome counters),
+// HTTP serving (total plus by-route/status counts and latency
+// histograms) and the process (uptime, build info, goroutines, GC
+// pause, heap, open fds).
 
 package main
 
@@ -82,14 +82,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.obs.walReplayHist.Expose(w)
 	}
 
-	writeQuantiles(w, "rcaserve_job_queue_wait_seconds",
-		"Recent async job queue wait (submission to dispatch).",
-		jm.QueueWaitP50Micros, jm.QueueWaitP90Micros, jm.QueueWaitP99Micros)
-	writeQuantiles(w, "rcaserve_job_run_seconds",
-		"Recent async job run time (dispatch to completion).",
-		jm.RunP50Micros, jm.RunP90Micros, jm.RunP99Micros)
-	s.obs.queueWaitHist.Expose(w)
-	s.obs.runHist.Expose(w)
+	s.jobs.QueueWaitHistogram().Expose(w)
+	s.jobs.RunHistogram().Expose(w)
 
 	gauge("rcaserve_engine_workers", "Solver worker pool size.", float64(es.Workers))
 	counter("rcaserve_engine_jobs_total", "Engine jobs completed, any outcome.", float64(es.Jobs))
@@ -102,10 +96,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("rcaserve_engine_cache_entries", "Cached canonical results across all shards.", float64(es.CacheEntries))
 	gauge("rcaserve_engine_cache_capacity", "Total canonical result cache bound (0 when caching is disabled).", float64(es.CacheCapacity))
 	gauge("rcaserve_engine_cache_shards", "Result cache lock domains (power of two).", float64(es.CacheShards))
-	writeQuantiles(w, "rcaserve_engine_solve_seconds",
-		"Recent solve latency (cache misses only).",
-		es.SolveP50Micros, es.SolveP90Micros, es.SolveP99Micros)
-	s.obs.solveHist.Expose(w)
+	s.engine.SolveHistogram().Expose(w)
 
 	shedding := 0.0
 	if es.Shedding {
@@ -143,16 +134,4 @@ func writeHeader(w io.Writer, name, help, typ string) {
 func writeMetric(w io.Writer, name, help, typ string, v float64) {
 	writeHeader(w, name, help, typ)
 	fmt.Fprintf(w, "%s %v\n", name, v)
-}
-
-// writeQuantiles emits a summary-style family from microsecond
-// percentile estimates.
-func writeQuantiles(w io.Writer, name, help string, p50, p90, p99 float64) {
-	writeHeader(w, name, help, "gauge")
-	for _, q := range []struct {
-		q string
-		v float64
-	}{{"0.5", p50}, {"0.9", p90}, {"0.99", p99}} {
-		fmt.Fprintf(w, "%s{quantile=%q} %v\n", name, q.q, q.v/1e6)
-	}
 }

@@ -30,18 +30,15 @@ import (
 const defaultTraceMin = 10 * time.Millisecond
 
 // observability bundles the obs surfaces one server instance owns.
-// Construct it before the engine so the solve histogram can be handed
-// to engine.Options.SolveHist.
+// Construct it before the WAL so the log's histograms can be handed
+// to wal.Options.
 type observability struct {
 	logger   *slog.Logger
 	ring     *obs.TraceRing
 	traceMin time.Duration // <0 captures everything, 0 = defaultTraceMin
 
-	httpReqs      *obs.CounterVec
-	httpHist      *obs.HistogramVec
-	queueWaitHist *obs.Histogram
-	runHist       *obs.Histogram
-	solveHist     *obs.Histogram
+	httpReqs *obs.CounterVec
+	httpHist *obs.HistogramVec
 
 	// WAL durability timings; populated only when -wal-dir is set but
 	// constructed unconditionally so the bundle exists before the log.
@@ -64,12 +61,6 @@ func newObservability(logger *slog.Logger, traceMin time.Duration, ringSize int)
 			"HTTP requests served, by route and status.", []string{"route", "status"}),
 		httpHist: obs.NewHistogramVec("rcaserve_http_request_duration_seconds",
 			"HTTP handler latency, by route and status.", []string{"route", "status"}, nil),
-		queueWaitHist: obs.NewHistogram("rcaserve_job_queue_wait_duration_seconds",
-			"Async job queue wait (submission to dispatch).", nil),
-		runHist: obs.NewHistogram("rcaserve_job_run_duration_seconds",
-			"Async job run time (dispatch to completion).", nil),
-		solveHist: obs.NewHistogram("rcaserve_engine_solve_duration_seconds",
-			"Engine solve latency (cache misses only).", nil),
 		walAppendHist: obs.NewHistogram("rcaserve_wal_append_duration_seconds",
 			"WAL record append latency (build + write + inline fsync under the always policy).", nil),
 		walFsyncHist: obs.NewHistogram("rcaserve_wal_fsync_duration_seconds",

@@ -17,6 +17,7 @@ import (
 
 	"dspaddr/internal/api"
 	"dspaddr/internal/engine"
+	"dspaddr/internal/faults"
 	"dspaddr/internal/obs"
 )
 
@@ -358,6 +359,65 @@ func TestAsyncJobTraceID(t *testing.T) {
 	if !found {
 		t.Errorf("no route=job trace for trace-async-7 in ring (%d traces)", len(dbg.Traces))
 	}
+}
+
+// TestAsyncCanceledJobTraceSpanFree cancels a running traced job
+// whose solve is still stalled on a worker: the abandoned worker may
+// keep recording into the job's trace, so the debug ring must get a
+// span-free record (under -race, snapshotting the spans is a data
+// race with that worker).
+func TestAsyncCanceledJobTraceSpanFree(t *testing.T) {
+	inj, err := faults.Parse("delay=300ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServerWith(t, engine.Options{Workers: 1, CacheSize: -1, Faults: inj}, serverOptions{version: "test"})
+
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs",
+		strings.NewReader(`{"pattern": {"offsets": [5, 0, 3, -2]}, "agu": {"registers": 2, "modifyRange": 1}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-Id", "trace-cancel-1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub api.SubmitResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var st api.JobStatus
+		getJSON(t, ts.URL+"/v1/jobs/"+sub.ID, &st)
+		if st.State == "running" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job never started: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if status := doMethod(t, http.MethodDelete, ts.URL+"/v1/jobs/"+sub.ID, nil); status != http.StatusOK {
+		t.Fatalf("DELETE status %d", status)
+	}
+	if st := waitForJobDone(t, ts, sub.ID); st.State != "canceled" {
+		t.Fatalf("state %s, want canceled", st.State)
+	}
+
+	var dbg debugRequestsJSON
+	getJSON(t, ts.URL+"/debug/requests?min_ms=0", &dbg)
+	for _, s := range dbg.Traces {
+		if s.ID == "trace-cancel-1" && s.Route == "job" {
+			if len(s.Spans) != 0 || s.Error == "" {
+				t.Fatalf("canceled job trace: %d spans, error %q; want a span-free record with the error", len(s.Spans), s.Error)
+			}
+			return
+		}
+	}
+	t.Fatalf("no route=job trace for trace-cancel-1 in ring (%d traces)", len(dbg.Traces))
 }
 
 // waitForJobDone polls an async job to a terminal state.

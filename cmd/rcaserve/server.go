@@ -53,8 +53,7 @@ type serverOptions struct {
 	// TTL if the spec says so. Production runs leave it nil.
 	faults *faults.Injector
 	// obs is the observability bundle (trace ring, histograms,
-	// logger). Build it before the engine so Options.SolveHist can
-	// point at the same bundle; nil gets a silent default.
+	// logger); nil gets a silent default.
 	obs *observability
 	// wal, when non-nil, is the opened write-ahead log making the
 	// async job lifecycle crash-safe; recovered is its boot replay.
@@ -108,8 +107,6 @@ func newServer(e *engine.Engine, opts serverOptions) *server {
 		Run:           run,
 		FailState:     jobFailState,
 		Faults:        opts.faults,
-		QueueWaitHist: s.obs.queueWaitHist,
-		RunHist:       s.obs.runHist,
 		NodeTag:       opts.nodeID,
 	}
 	if opts.wal != nil {
@@ -197,17 +194,26 @@ func (s *server) runPayload(ctx context.Context, payload any) (any, error) {
 	resp, err := s.runJob(ctx, payload.(api.Job))
 	if tr != nil {
 		dur := tr.Elapsed()
+		// Same rule as the HTTP middleware: a canceled run may leave a
+		// worker still recording into this trace, so neither snapshot
+		// its spans nor recycle it; retain a span-free record instead.
+		abandoned := ctx.Err() != nil
 		if err != nil || dur >= s.obs.threshold() {
 			errText := ""
 			if err != nil {
 				errText = err.Error()
 			}
-			s.obs.ring.Add(tr.Snapshot("job", 0, errText, dur))
+			if abandoned {
+				s.obs.ring.Add(&obs.TraceSnapshot{
+					ID: tr.ID(), Route: "job", Error: errText,
+					StartedAt:      time.Now().Add(-dur),
+					DurationMicros: dur.Microseconds(),
+				})
+			} else {
+				s.obs.ring.Add(tr.Snapshot("job", 0, errText, dur))
+			}
 		}
-		// Same rule as the HTTP middleware: a canceled run may leave a
-		// worker still recording into this trace, so only recycle it
-		// when the context is intact.
-		if ctx.Err() == nil {
+		if !abandoned {
 			tr.Release()
 		}
 	}

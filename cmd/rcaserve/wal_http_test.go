@@ -37,7 +37,7 @@ func newWALServer(t *testing.T, dir string, sopts serverOptions) (*httptest.Serv
 	if sopts.version == "" {
 		sopts.version = "test"
 	}
-	eng := engine.New(engine.Options{Workers: 2, SolveHist: sopts.obs.solveHist})
+	eng := engine.New(engine.Options{Workers: 2})
 	s := newServer(eng, sopts)
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(func() {

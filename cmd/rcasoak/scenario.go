@@ -442,7 +442,9 @@ func builtinCluster(total time.Duration) *scenario {
 // again after the fault clears at the phase's three-quarter mark; the
 // oracle asserts the open and re-close transitions from the gateway's
 // breaker metrics, fleet p99 under the ceiling throughout, and the
-// usual zero lost/duplicated jobs — hedged reads included.
+// usual zero lost/duplicated jobs. The gateway forwards each job poll
+// once, to the owning node, so a poll of a job on the slowed node
+// waits out the fault.
 func builtinGrayfail(total time.Duration) *scenario {
 	slice, mustMix := scenarioHelpers(total)
 	return &scenario{

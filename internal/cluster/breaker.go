@@ -28,7 +28,6 @@
 package cluster
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -128,7 +127,8 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 
 // breaker is one member's circuit. All state sits behind one mutex;
 // the hot path (closed-state allow) is a lock, a compare and an
-// unlock, and record is a ring push plus a bounded-window evaluation.
+// unlock, and record is O(1): a ring push that updates running fail
+// and slow counts.
 type breaker struct {
 	opts BreakerOptions
 	// onTransition fires (outside the breaker's own critical section
@@ -145,13 +145,14 @@ type breaker struct {
 	// successes counts consecutive fast successes while half-open.
 	successes int
 
-	// rolling outcome ring (closed state only).
-	durs  []time.Duration
-	fails []bool
-	n     int // total recorded (ring index = n % Window)
-
-	// scratch for the quantile sort, reused under mu.
-	sorted []time.Duration
+	// rolling outcome ring (closed state only): one fail bit and one
+	// slow bit (dur ≥ LatencyThreshold) per slot, with the window's
+	// running counts of each.
+	fails  []bool
+	slows  []bool
+	n      int // total recorded (ring index = n % Window)
+	failed int
+	slow   int
 }
 
 func newBreaker(opts BreakerOptions, onTransition func(BreakerState)) *breaker {
@@ -159,9 +160,8 @@ func newBreaker(opts BreakerOptions, onTransition func(BreakerState)) *breaker {
 	return &breaker{
 		opts:         opts,
 		onTransition: onTransition,
-		durs:         make([]time.Duration, opts.Window),
 		fails:        make([]bool, opts.Window),
-		sorted:       make([]time.Duration, 0, opts.Window),
+		slows:        make([]bool, opts.Window),
 	}
 }
 
@@ -226,13 +226,21 @@ func (b *breaker) record(ok bool, dur time.Duration, now time.Time) {
 		}
 		if b.successes++; b.successes >= b.opts.CloseAfter {
 			b.transition(BreakerClosed)
-			b.n = 0 // forget the sick window
+			b.n, b.failed, b.slow = 0, 0, 0 // forget the sick window
 		}
 		return
 	}
-	// Closed: push into the ring, then evaluate.
+	// Closed: push into the ring, evicting the slot's previous
+	// outcome once the window is full, then evaluate.
 	idx := b.n % b.opts.Window
-	b.durs[idx], b.fails[idx] = dur, !ok
+	if b.n >= b.opts.Window {
+		b.failed -= boolInt(b.fails[idx])
+		b.slow -= boolInt(b.slows[idx])
+	}
+	b.fails[idx] = !ok
+	b.slows[idx] = b.opts.LatencyThreshold >= 0 && dur >= b.opts.LatencyThreshold
+	b.failed += boolInt(b.fails[idx])
+	b.slow += boolInt(b.slows[idx])
 	b.n++
 	samples := b.n
 	if samples > b.opts.Window {
@@ -241,21 +249,16 @@ func (b *breaker) record(ok bool, dur time.Duration, now time.Time) {
 	if samples < b.opts.MinSamples {
 		return
 	}
-	failed := 0
-	for i := 0; i < samples; i++ {
-		if b.fails[i] {
-			failed++
-		}
-	}
-	trip := float64(failed)/float64(samples) >= b.opts.ErrRate
+	trip := float64(b.failed)/float64(samples) >= b.opts.ErrRate
 	if !trip && b.opts.LatencyThreshold >= 0 {
-		b.sorted = append(b.sorted[:0], b.durs[:samples]...)
-		sort.Slice(b.sorted, func(i, j int) bool { return b.sorted[i] < b.sorted[j] })
+		// The window's q-quantile — the qi-th smallest duration — is at
+		// least the threshold exactly when the slow outcomes fill every
+		// rank from qi up: slow ≥ samples − qi.
 		qi := int(float64(samples) * b.opts.LatencyQuantile)
 		if qi >= samples {
 			qi = samples - 1
 		}
-		trip = b.sorted[qi] >= b.opts.LatencyThreshold
+		trip = b.slow >= samples-qi
 	}
 	if trip {
 		b.transition(BreakerOpen)
@@ -275,10 +278,12 @@ func (b *breaker) snapshot() (state BreakerState, samples, failed int) {
 	if samples > b.opts.Window {
 		samples = b.opts.Window
 	}
-	for i := 0; i < samples; i++ {
-		if b.fails[i] {
-			failed++
-		}
+	return b.state, samples, b.failed
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
 	}
-	return b.state, samples, failed
+	return 0
 }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math/rand/v2"
+	"sort"
 	"testing"
 	"time"
 )
@@ -288,5 +290,141 @@ func TestRetryAfterOf(t *testing.T) {
 		if got := retryAfterOf(mk(c.ra)); got != c.want {
 			t.Errorf("retryAfterOf(%q) = %v, want %v", c.ra, got, c.want)
 		}
+	}
+}
+
+// refBreaker is the sort-based breaker the running counts replaced:
+// it keeps every duration of the window and trips when the sorted
+// window's q-quantile reaches the threshold. The state machine around
+// the window is the same as breaker's.
+type refBreaker struct {
+	opts      BreakerOptions
+	state     BreakerState
+	openedAt  time.Time
+	lastProbe time.Time
+	successes int
+	durs      []time.Duration
+	fails     []bool
+	n         int
+}
+
+func newRefBreaker(opts BreakerOptions) *refBreaker {
+	opts = opts.withDefaults()
+	return &refBreaker{opts: opts, durs: make([]time.Duration, opts.Window), fails: make([]bool, opts.Window)}
+}
+
+func (b *refBreaker) allow(now time.Time) bool {
+	switch b.state {
+	case BreakerClosed:
+		return true
+	case BreakerOpen:
+		if now.Sub(b.openedAt) < b.opts.OpenFor {
+			return false
+		}
+		b.state, b.successes, b.lastProbe = BreakerHalfOpen, 0, now
+		return true
+	default:
+		if now.Sub(b.lastProbe) < b.opts.HalfOpenEvery {
+			return false
+		}
+		b.lastProbe = now
+		return true
+	}
+}
+
+func (b *refBreaker) record(ok bool, dur time.Duration, now time.Time) {
+	switch b.state {
+	case BreakerOpen:
+		return
+	case BreakerHalfOpen:
+		if !ok || (b.opts.LatencyThreshold >= 0 && dur > b.opts.LatencyThreshold) {
+			b.state, b.openedAt = BreakerOpen, now
+			return
+		}
+		if b.successes++; b.successes >= b.opts.CloseAfter {
+			b.state, b.n = BreakerClosed, 0
+		}
+		return
+	}
+	idx := b.n % b.opts.Window
+	b.durs[idx], b.fails[idx] = dur, !ok
+	b.n++
+	samples := min(b.n, b.opts.Window)
+	if samples < b.opts.MinSamples {
+		return
+	}
+	failed := 0
+	for _, f := range b.fails[:samples] {
+		if f {
+			failed++
+		}
+	}
+	trip := float64(failed)/float64(samples) >= b.opts.ErrRate
+	if !trip && b.opts.LatencyThreshold >= 0 {
+		sorted := append([]time.Duration(nil), b.durs[:samples]...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		qi := min(int(float64(samples)*b.opts.LatencyQuantile), samples-1)
+		trip = sorted[qi] >= b.opts.LatencyThreshold
+	}
+	if trip {
+		b.state, b.openedAt = BreakerOpen, now
+	}
+}
+
+// TestBreakerMatchesSortedReference pushes seeded random outcome
+// streams through breaker and the sort-based reference side by side
+// and requires the same admission and state after every call — every
+// trip decision, every half-open probe and every close (which resets
+// the window) included.
+func TestBreakerMatchesSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	durs := []time.Duration{0, time.Millisecond, 49 * time.Millisecond, 50 * time.Millisecond,
+		51 * time.Millisecond, 250 * time.Millisecond, 400 * time.Millisecond}
+	thresholds := []time.Duration{-1, time.Millisecond, 50 * time.Millisecond, 250 * time.Millisecond}
+	trips := 0
+	for window := 1; window <= 64; window++ {
+		for _, q := range []float64{0.5, 0.9, 0.99} {
+			for _, thr := range thresholds {
+				opts := BreakerOptions{
+					Window:           window,
+					MinSamples:       1 + rng.IntN(window+2), // sometimes above the window: never trips
+					ErrRate:          []float64{0.25, 0.5, 1}[rng.IntN(3)],
+					LatencyQuantile:  q,
+					LatencyThreshold: thr,
+					OpenFor:          20 * time.Millisecond,
+					HalfOpenEvery:    5 * time.Millisecond,
+					CloseAfter:       1 + rng.IntN(3),
+				}
+				got := newBreaker(opts, func(to BreakerState) {
+					if to == BreakerOpen {
+						trips++
+					}
+				})
+				want := newRefBreaker(opts)
+				// Each stream has its own failure and slowness mix, so
+				// some windows trip on errors, some on latency, some not.
+				failP, slowP := rng.Float64()*0.5, rng.Float64()
+				now := time.Unix(0, 0)
+				for i := 0; i < 400; i++ {
+					now = now.Add(time.Duration(rng.IntN(8)) * time.Millisecond)
+					if g, w := got.allow(now), want.allow(now); g != w {
+						t.Fatalf("%+v step %d: allow %v, reference %v", opts, i, g, w)
+					}
+					ok := rng.Float64() >= failP
+					d := durs[rng.IntN(2)]
+					if rng.Float64() < slowP {
+						d = durs[rng.IntN(len(durs))]
+					}
+					got.record(ok, d, now)
+					want.record(ok, d, now)
+					if st, _, _ := got.snapshot(); st != want.state {
+						t.Fatalf("%+v step %d: state %v, reference %v", opts, i, st, want.state)
+					}
+				}
+			}
+		}
+	}
+	if trips == 0 {
+		t.Fatal("no stream tripped a breaker: the comparison covered nothing")
 	}
 }

@@ -1,7 +1,7 @@
 // The HTTP forwarding client: one shared transport with bounded
 // per-node connection pools, a per-attempt timeout, breaker-aware
-// replica selection, jittered-backoff retries for idempotent
-// requests, and quantile-delayed hedges for idempotent reads.
+// replica selection and jittered-backoff retries for idempotent
+// requests.
 //
 // Failure policy: only transport-level failures (dial, reset, body
 // read, timeout) count against a member's health and are retried —
@@ -16,9 +16,8 @@
 // connection died, and a blind retry would double-submit.
 //
 // An attempt that dies because the ORIGIN went away — client
-// disconnect, hedge-loser cancellation, spent deadline budget — is
-// not the node's failure: it stays out of health and breaker
-// accounting and is never retried.
+// disconnect or spent deadline budget — is not the node's failure: it
+// stays out of health and breaker accounting and is never retried.
 
 package cluster
 
@@ -31,11 +30,9 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"dspaddr/internal/deadline"
-	"dspaddr/internal/stats"
 )
 
 // Forwarding defaults.
@@ -64,61 +61,6 @@ const (
 	retryAfterCap    = 500 * time.Millisecond
 )
 
-// Hedge defaults (HedgeOptions zero values).
-const (
-	DefaultHedgeQuantile = 0.95
-	DefaultHedgeMinDelay = 10 * time.Millisecond
-	DefaultHedgeMaxDelay = time.Second
-	// hedgeDelayRecompute bounds how often the quantile is re-derived
-	// from the latency ring (sorting the window per request would not
-	// survive the bench gate).
-	hedgeDelayRecompute = 100 * time.Millisecond
-)
-
-// HedgeOptions tunes hedged reads: after the configured quantile of
-// recent forward latency elapses with no answer, a second identical
-// request goes out and the first complete response wins. Hedges go to
-// the SAME member on a fresh exchange — job state is single-homed, so
-// a ring successor would answer an honest-but-wrong 404; what a hedge
-// defuses is a slow connection or a stuck accept queue, not a lost
-// node (breakers and health checks own those).
-type HedgeOptions struct {
-	// Disabled turns hedging off; reads degrade to single requests.
-	Disabled bool
-	// Quantile of the recent forward-latency window that arms the
-	// hedge timer (0 = 0.95).
-	Quantile float64
-	// MinDelay/MaxDelay clamp the derived delay (0 = 10ms / 1s). With
-	// an empty latency window the delay is MaxDelay.
-	MinDelay time.Duration
-	MaxDelay time.Duration
-	// FixedDelay, when positive, bypasses the quantile entirely.
-	FixedDelay time.Duration
-}
-
-func (o HedgeOptions) withDefaults() HedgeOptions {
-	if o.Quantile <= 0 || o.Quantile >= 1 {
-		o.Quantile = DefaultHedgeQuantile
-	}
-	if o.MinDelay <= 0 {
-		o.MinDelay = DefaultHedgeMinDelay
-	}
-	if o.MaxDelay <= 0 {
-		o.MaxDelay = DefaultHedgeMaxDelay
-	}
-	return o
-}
-
-// Hedge lifecycle events reported through onHedge.
-type hedgeEvent int
-
-const (
-	hedgeLaunched   hedgeEvent = iota // second request fired
-	hedgeSettled                      // the hedge request finished (won, lost or canceled)
-	hedgeWinPrimary                   // primary answered first
-	hedgeWinHedge                     // hedge answered first
-)
-
 // ErrAllReplicasDown reports that every replica in the key's sequence
 // was down (or unreachable on this attempt) — the only condition the
 // gateway answers with its own synthesized 503.
@@ -137,26 +79,16 @@ type forwarder struct {
 	fleet   *Fleet
 	client  *http.Client
 	timeout time.Duration
-	hedge   HedgeOptions
-
-	// hedgeLat is the recent forward-latency window the hedge delay is
-	// derived from; the derived value is cached in hedgeDelayNs and
-	// refreshed at most every hedgeDelayRecompute.
-	hedgeLat     stats.LatencyRing
-	hedgeDelayNs atomic.Int64
-	hedgeDelayAt atomic.Int64 // unix nanos of the last recompute
 
 	// onForward reports every attempt for metrics: the member, the
 	// status (0 on transport error), elapsed time and whether this
 	// attempt was a retry. nil-safe. Attempts aborted by origin
 	// cancellation are not reported.
 	onForward func(m *Member, status int, dur time.Duration, retry bool)
-	// onHedge reports hedge lifecycle events for metrics. nil-safe.
-	onHedge func(ev hedgeEvent, m *Member)
 }
 
 // newForwarder builds the client around the fleet.
-func newForwarder(fleet *Fleet, timeout time.Duration, hedge HedgeOptions, onForward func(*Member, int, time.Duration, bool), onHedge func(hedgeEvent, *Member)) *forwarder {
+func newForwarder(fleet *Fleet, timeout time.Duration, onForward func(*Member, int, time.Duration, bool)) *forwarder {
 	if timeout <= 0 {
 		timeout = DefaultForwardTimeout
 	}
@@ -170,9 +102,7 @@ func newForwarder(fleet *Fleet, timeout time.Duration, hedge HedgeOptions, onFor
 			},
 		},
 		timeout:   timeout,
-		hedge:     hedge.withDefaults(),
 		onForward: onForward,
-		onHedge:   onHedge,
 	}
 }
 
@@ -245,7 +175,6 @@ func (fw *forwarder) do(ctx context.Context, m *Member, method, pathAndQuery str
 	}
 	fw.fleet.ReportSuccess(m)
 	m.brk.record(resp.StatusCode < http.StatusInternalServerError, dur, time.Now())
-	fw.hedgeLat.Observe(dur)
 	if fw.onForward != nil {
 		fw.onForward(m, resp.StatusCode, dur, retry)
 	}
@@ -324,120 +253,6 @@ func (fw *forwarder) routed(ctx context.Context, key uint64, method, pathAndQuer
 		return nil, fmt.Errorf("%w (%v)", ErrAllReplicasDown, lastErr)
 	}
 	return nil, ErrAllReplicasDown
-}
-
-// hedged issues an idempotent read to m with a hedge: if the delay
-// derived from recent forward latency elapses without an answer, a
-// second identical request races the first and the first COMPLETE
-// response wins; the loser's context is canceled and its outcome is
-// kept out of health accounting. Bodies are nil by construction —
-// hedging is for GETs only.
-func (fw *forwarder) hedged(ctx context.Context, m *Member, method, pathAndQuery string, hdr http.Header) (*nodeResponse, error) {
-	delay := fw.hedgeDelay()
-	if delay <= 0 {
-		return fw.do(ctx, m, method, pathAndQuery, nil, hdr, false)
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type outcome struct {
-		resp  *nodeResponse
-		err   error
-		hedge bool
-	}
-	ch := make(chan outcome, 2)
-	launch := func(isHedge bool) {
-		go func() {
-			resp, err := fw.do(hctx, m, method, pathAndQuery, nil, hdr, isHedge)
-			if isHedge && fw.onHedge != nil {
-				fw.onHedge(hedgeSettled, m)
-			}
-			ch <- outcome{resp, err, isHedge}
-		}()
-	}
-	launch(false)
-	outstanding := 1
-	hedgeFired := false
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	var firstErr error
-	for {
-		select {
-		case <-timer.C:
-			if !hedgeFired {
-				hedgeFired = true
-				outstanding++
-				if fw.onHedge != nil {
-					fw.onHedge(hedgeLaunched, m)
-				}
-				launch(true)
-			}
-		case out := <-ch:
-			outstanding--
-			if out.err == nil {
-				if hedgeFired && fw.onHedge != nil {
-					if out.hedge {
-						fw.onHedge(hedgeWinHedge, m)
-					} else {
-						fw.onHedge(hedgeWinPrimary, m)
-					}
-				}
-				// The deferred cancel unwinds the loser; its aborted
-				// attempt sees the origin cancellation and stays out of
-				// health accounting.
-				return out.resp, nil
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			if !hedgeFired && ctx.Err() == nil {
-				// The primary failed before the timer armed the hedge:
-				// fire it now as the (idempotent) retry instead of
-				// giving up with a request still owed.
-				hedgeFired = true
-				outstanding++
-				if fw.onHedge != nil {
-					fw.onHedge(hedgeLaunched, m)
-				}
-				launch(true)
-			}
-			if outstanding == 0 {
-				return nil, firstErr
-			}
-		}
-	}
-}
-
-// hedgeDelay derives the current hedge-arm delay: the configured
-// quantile of the recent forward-latency window, clamped, cached
-// between recomputes. Zero means "don't hedge".
-func (fw *forwarder) hedgeDelay() time.Duration {
-	if fw.hedge.Disabled {
-		return 0
-	}
-	if fw.hedge.FixedDelay > 0 {
-		return fw.hedge.FixedDelay
-	}
-	now := time.Now().UnixNano()
-	if last := fw.hedgeDelayAt.Load(); now-last < int64(hedgeDelayRecompute) {
-		if cached := fw.hedgeDelayNs.Load(); cached > 0 {
-			return time.Duration(cached)
-		}
-	}
-	fw.hedgeDelayAt.Store(now)
-	q := fw.hedgeLat.QuantilesMicros(fw.hedge.Quantile)
-	d := time.Duration(q[0]) * time.Microsecond
-	if d <= 0 {
-		d = fw.hedge.MaxDelay // empty window: hedge late, not eagerly
-	}
-	if d < fw.hedge.MinDelay {
-		d = fw.hedge.MinDelay
-	}
-	if d > fw.hedge.MaxDelay {
-		d = fw.hedge.MaxDelay
-	}
-	fw.hedgeDelayNs.Store(int64(d))
-	return d
 }
 
 // retryBackoff is the jittered exponential wait before retry number

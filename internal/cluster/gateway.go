@@ -59,17 +59,14 @@ import (
 
 // Options configures a Gateway.
 type Options struct {
-	// Fleet is the member set (required). The gateway takes ownership:
-	// Close stops its health checker.
+	// Fleet is the member set (required); breaker tuning lives on its
+	// FleetOptions. The gateway takes ownership: Close stops its health
+	// checker.
 	Fleet *Fleet
 	// Version is the build identity for /healthz and /v1/stats.
 	Version string
 	// ForwardTimeout bounds one forwarded exchange (0 = 30s).
 	ForwardTimeout time.Duration
-	// Hedge tunes hedged reads on idempotent GETs (zero values =
-	// defaults; set Hedge.Disabled to turn hedging off). Breaker
-	// tuning lives on the Fleet's FleetOptions.
-	Hedge HedgeOptions
 	// Logger receives forward failures and node transitions; nil
 	// discards.
 	Logger *slog.Logger
@@ -95,9 +92,6 @@ type Gateway struct {
 
 	breakerState       *obs.GaugeVec
 	breakerTransitions *obs.CounterVec
-	hedges             *obs.CounterVec
-	hedgeWins          *obs.CounterVec
-	hedgesInFlight     atomic.Int64
 	deadlineExpired    atomic.Uint64
 }
 
@@ -136,10 +130,6 @@ func New(opts Options) (*Gateway, error) {
 			"Per-node circuit breaker position: 0 closed, 1 open, 2 half-open.", []string{"node"}),
 		breakerTransitions: obs.NewCounterVec("rcagate_breaker_transitions_total",
 			"Circuit breaker state changes, by node and destination state.", []string{"node", "to"}),
-		hedges: obs.NewCounterVec("rcagate_hedges_total",
-			"Hedge requests launched for idempotent reads, by node.", []string{"node"}),
-		hedgeWins: obs.NewCounterVec("rcagate_hedge_wins_total",
-			"Hedged reads decided, by which request answered first.", []string{"winner"}),
 	}
 	// The fleet calls back on every transition; seed the gauge so
 	// every member exports a sample from the first scrape.
@@ -162,36 +152,17 @@ func New(opts Options) (*Gateway, error) {
 		g.nodeUp.Set(1, m.Name)
 		g.breakerState.Set(int64(BreakerClosed), m.Name)
 	}
-	g.fwd = newForwarder(g.fleet, opts.ForwardTimeout, opts.Hedge,
+	g.fwd = newForwarder(g.fleet, opts.ForwardTimeout,
 		func(m *Member, status int, dur time.Duration, retry bool) {
 			g.fwdReqs.Add(1, m.Name, strconv.Itoa(status))
 			g.fwdHist.Observe(dur, m.Name)
 			if retry {
 				g.retries.Add(1, m.Name)
 			}
-		},
-		func(ev hedgeEvent, m *Member) {
-			switch ev {
-			case hedgeLaunched:
-				g.hedges.Add(1, m.Name)
-				g.hedgesInFlight.Add(1)
-			case hedgeSettled:
-				g.hedgesInFlight.Add(-1)
-			case hedgeWinPrimary:
-				g.hedgeWins.Add(1, "primary")
-			case hedgeWinHedge:
-				g.hedgeWins.Add(1, "hedge")
-			}
 		})
 	g.fleet.Start()
 	return g, nil
 }
-
-// HedgesInFlight reports hedge requests currently outstanding — the
-// leak oracle for hedged reads: it must return to zero once traffic
-// stops (a stuck loser would pin it, and its goroutine and socket,
-// forever).
-func (g *Gateway) HedgesInFlight() int64 { return g.hedgesInFlight.Load() }
 
 // Close stops the health checker and releases pooled connections.
 func (g *Gateway) Close() {
@@ -514,8 +485,7 @@ func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Submission is NOT idempotent: once bytes left for the node the
 	// batch may be admitted, so a transport failure is surfaced as a
-	// 503 for the client to decide — never silently retried, and
-	// never hedged.
+	// 503 for the client to decide — never silently retried.
 	resp, err := g.fwd.do(r.Context(), m, http.MethodPost, "/v1/jobs", body, r.Header, false)
 	if err != nil {
 		if r.Context().Err() != nil {
@@ -697,17 +667,7 @@ func (g *Gateway) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusServiceUnavailable, "job %s: owning node %s is down", id, tag)
 		return
 	}
-	var resp *nodeResponse
-	var err error
-	if r.Method == http.MethodGet {
-		// Status polls are idempotent and latency-sensitive: hedge a
-		// second copy to the SAME owner after the hedge delay (the job
-		// is single-homed, so another member would answer an honest but
-		// wrong 404). DELETE mutates — never hedged.
-		resp, err = g.fwd.hedged(r.Context(), m, http.MethodGet, "/v1/jobs/"+id, r.Header)
-	} else {
-		resp, err = g.fwd.do(r.Context(), m, r.Method, "/v1/jobs/"+id, nil, r.Header, false)
-	}
+	resp, err := g.fwd.do(r.Context(), m, r.Method, "/v1/jobs/"+id, nil, r.Header, false)
 	if err != nil {
 		if r.Context().Err() != nil {
 			g.writeForwardError(w, r, err)
@@ -722,7 +682,9 @@ func (g *Gateway) handleJobByID(w http.ResponseWriter, r *http.Request) {
 
 // ---- /v1/stats -------------------------------------------------------
 
-// fleetStatsJSON is the summed cross-node view.
+// fleetStatsJSON is the summed cross-node view. Like each node's, its
+// engine counters satisfy jobs = cacheHits + cacheMisses + errors +
+// timeouts + canceled.
 type fleetStatsJSON struct {
 	Nodes          int     `json:"nodes"`
 	UpNodes        int     `json:"upNodes"`
@@ -732,6 +694,7 @@ type fleetStatsJSON struct {
 	Deduped        uint64  `json:"deduped"`
 	Errors         uint64  `json:"errors"`
 	Timeouts       uint64  `json:"timeouts"`
+	Canceled       uint64  `json:"canceled"`
 	HitRate        float64 `json:"hitRate"`
 	AsyncSubmitted uint64  `json:"asyncSubmitted"`
 	AsyncDone      uint64  `json:"asyncDone"`
@@ -751,9 +714,6 @@ type gatewayStatsJSON struct {
 	// Breakers maps node name to circuit position ("closed", "open",
 	// "half-open").
 	Breakers map[string]string `json:"breakers"`
-	// HedgesInFlight is the current count of outstanding hedge
-	// requests (leak oracle: zero at rest).
-	HedgesInFlight int64 `json:"hedgesInFlight"`
 	// DeadlineExpired counts requests answered 504 because their
 	// X-Deadline-Ms budget ran out at or inside the gateway.
 	DeadlineExpired uint64 `json:"deadlineExpired"`
@@ -771,7 +731,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, m *Member) {
 			defer wg.Done()
-			resp, err := g.fwd.hedged(r.Context(), m, http.MethodGet, "/v1/stats", r.Header)
+			resp, err := g.fwd.do(r.Context(), m, http.MethodGet, "/v1/stats", nil, r.Header, false)
 			if err == nil && resp.status == http.StatusOK {
 				perNode[i] = resp.body
 			}
@@ -796,6 +756,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		fleet.Deduped += s.Deduped
 		fleet.Errors += s.Errors
 		fleet.Timeouts += s.Timeouts
+		fleet.Canceled += s.Canceled
 		fleet.AsyncSubmitted += s.AsyncJobs.Submitted
 		fleet.AsyncDone += s.AsyncJobs.Done
 		fleet.AsyncFailed += s.AsyncJobs.Failed
@@ -824,7 +785,6 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 			UptimeSeconds:   time.Since(g.started).Seconds(),
 			HTTPRequests:    g.requests.Load(),
 			Breakers:        breakers,
-			HedgesInFlight:  g.hedgesInFlight.Load(),
 			DeadlineExpired: g.deadlineExpired.Load(),
 		},
 	})
@@ -849,12 +809,9 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	g.transitions.Expose(w)
 	g.breakerState.Expose(w)
 	g.breakerTransitions.Expose(w)
-	g.hedges.Expose(w)
-	g.hedgeWins.Expose(w)
 	fmt.Fprintf(w, "# HELP rcagate_nodes Configured fleet size.\n# TYPE rcagate_nodes gauge\nrcagate_nodes %d\n", len(g.fleet.Members()))
 	fmt.Fprintf(w, "# HELP rcagate_nodes_up Nodes currently marked up.\n# TYPE rcagate_nodes_up gauge\nrcagate_nodes_up %d\n", g.fleet.UpCount())
 	fmt.Fprintf(w, "# HELP rcagate_uptime_seconds Gateway process uptime.\n# TYPE rcagate_uptime_seconds gauge\nrcagate_uptime_seconds %g\n", time.Since(g.started).Seconds())
-	fmt.Fprintf(w, "# HELP rcagate_hedges_in_flight Hedge requests currently outstanding.\n# TYPE rcagate_hedges_in_flight gauge\nrcagate_hedges_in_flight %d\n", g.hedgesInFlight.Load())
 	fmt.Fprintf(w, "# HELP rcagate_deadline_expired_total Requests answered 504 for a spent deadline budget.\n# TYPE rcagate_deadline_expired_total counter\nrcagate_deadline_expired_total %d\n", g.deadlineExpired.Load())
 
 	up := g.upMembers()
@@ -864,7 +821,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, m *Member) {
 			defer wg.Done()
-			resp, err := g.fwd.hedged(r.Context(), m, http.MethodGet, "/metrics", r.Header)
+			resp, err := g.fwd.do(r.Context(), m, http.MethodGet, "/metrics", nil, r.Header, false)
 			if err != nil || resp.status != http.StatusOK {
 				return
 			}

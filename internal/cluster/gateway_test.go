@@ -440,6 +440,58 @@ func TestGatewayStatsAggregation(t *testing.T) {
 	}
 }
 
+// TestGatewayStatsJobIdentity asserts the fleet's engine counters add
+// up like each node's: jobs = cacheHits + cacheMisses + errors +
+// timeouts + canceled, with canceled jobs (a sync client that hung up
+// mid-solve) on both nodes.
+func TestGatewayStatsJobIdentity(t *testing.T) {
+	mk := func(name string, hits, misses, errs, timeouts, canceled uint64) *fakeNode {
+		n := newFakeNode(name)
+		n.handler = func(w http.ResponseWriter, r *http.Request) bool {
+			if r.URL.Path != "/v1/stats" {
+				return false
+			}
+			jobs := hits + misses + errs + timeouts + canceled
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprintf(w, `{"jobs":%d,"cacheHits":%d,"cacheMisses":%d,"errors":%d,"timeouts":%d,"canceled":%d}`,
+				jobs, hits, misses, errs, timeouts, canceled)
+			return true
+		}
+		return n
+	}
+	a, b := mk("n1", 7, 5, 1, 2, 3), mk("n2", 4, 6, 0, 1, 2)
+	defer a.srv.Close()
+	defer b.srv.Close()
+	_, srv := newTestGateway(t, a, b)
+
+	resp, err := http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var out struct {
+		Fleet struct {
+			Jobs        uint64 `json:"jobs"`
+			CacheHits   uint64 `json:"cacheHits"`
+			CacheMisses uint64 `json:"cacheMisses"`
+			Errors      uint64 `json:"errors"`
+			Timeouts    uint64 `json:"timeouts"`
+			Canceled    uint64 `json:"canceled"`
+		} `json:"fleet"`
+	}
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatalf("bad stats body: %v\n%s", err, raw)
+	}
+	f := out.Fleet
+	if f.Jobs != 31 || f.Canceled != 5 {
+		t.Fatalf("fleet jobs %d canceled %d, want 31 and 5: %s", f.Jobs, f.Canceled, raw)
+	}
+	if sum := f.CacheHits + f.CacheMisses + f.Errors + f.Timeouts + f.Canceled; sum != f.Jobs {
+		t.Fatalf("fleet jobs %d != hits+misses+errors+timeouts+canceled %d: %s", f.Jobs, sum, raw)
+	}
+}
+
 // TestGatewayMetricsAggregation asserts /metrics carries the gateway
 // families plus the node families aggregated across the fleet:
 // counters and histogram samples summed, gauges once per node with a

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -14,32 +13,6 @@ import (
 
 	"dspaddr/internal/deadline"
 )
-
-// newHedgeGateway stands a gateway with a fixed hedge delay in front
-// of the fake nodes (newTestGateway runs hedging at defaults, where
-// an empty latency window arms the hedge at MaxDelay — effectively
-// never in a fast test).
-func newHedgeGateway(t *testing.T, hedge HedgeOptions, nodes ...*fakeNode) (*Gateway, *httptest.Server) {
-	t.Helper()
-	members := make([]Member, len(nodes))
-	for i, n := range nodes {
-		members[i] = Member{Name: n.name, URL: n.srv.URL}
-	}
-	fleet, err := NewFleet(members, FleetOptions{
-		ProbeInterval: time.Hour,
-		FailThreshold: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, err := New(Options{Fleet: fleet, Version: "test", Hedge: hedge})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(gw.Handler())
-	t.Cleanup(func() { srv.Close(); gw.Close() })
-	return gw, srv
-}
 
 // TestGatewayDeadlineHeaderDecrementsPerHop asserts the budget rides
 // the hop: the node sees an X-Deadline-Ms no larger than the client's
@@ -213,145 +186,52 @@ func TestGatewayClientDisconnectCancelsUpstream(t *testing.T) {
 	}
 }
 
-// TestGatewayHedgeDuplicateSuppression: the primary GET is stuck, the
-// hedge answers — the client gets EXACTLY one response (the hedge's),
-// the loser is canceled, and the in-flight hedge gauge drains to zero
-// (the leak oracle).
-func TestGatewayHedgeDuplicateSuppression(t *testing.T) {
+// TestGatewaySlowJobRequestsReachOwnerOnce: a slow job poll and a
+// slow cancel each go to the owning node exactly once — job state is
+// single-homed, so the gateway never sends a second copy of either.
+func TestGatewaySlowJobRequestsReachOwnerOnce(t *testing.T) {
 	a := newFakeNode("n1")
 	defer a.srv.Close()
-	var calls atomic.Int32
-	loserCanceled := make(chan struct{}, 1)
+	var gets, deletes atomic.Int32
 	a.handler = func(w http.ResponseWriter, r *http.Request) bool {
-		if !strings.HasPrefix(r.URL.Path, "/v1/jobs/") || r.Method != http.MethodGet {
+		if !strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
 			return false
 		}
-		if calls.Add(1) == 1 {
-			// The gray request: stuck until canceled.
-			select {
-			case <-r.Context().Done():
-				loserCanceled <- struct{}{}
-			case <-time.After(5 * time.Second):
-			}
+		time.Sleep(60 * time.Millisecond)
+		if r.Method == http.MethodDelete {
+			deletes.Add(1)
+			w.WriteHeader(http.StatusNoContent)
 			return true
 		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"id":"j-n1-abcd0123-00000001","state":"done","answeredBy":"hedge"}`)
-		return true
-	}
-	gw, srv := newHedgeGateway(t, HedgeOptions{FixedDelay: 20 * time.Millisecond}, a)
-
-	resp, err := http.Get(srv.URL + "/v1/jobs/j-n1-abcd0123-00000001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d body %s, want 200", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), `"answeredBy":"hedge"`) {
-		t.Fatalf("winning body not the hedge's: %s", body)
-	}
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("node saw %d GETs, want exactly 2 (primary + hedge)", n)
-	}
-	select {
-	case <-loserCanceled:
-	case <-time.After(2 * time.Second):
-		t.Fatal("losing request was never canceled")
-	}
-	waitZeroHedges(t, gw)
-}
-
-// TestGatewayHedgeBothComplete: both the primary and the hedge finish
-// with full responses — the client still gets exactly one, and
-// nothing leaks.
-func TestGatewayHedgeBothComplete(t *testing.T) {
-	a := newFakeNode("n1")
-	defer a.srv.Close()
-	var calls atomic.Int32
-	a.handler = func(w http.ResponseWriter, r *http.Request) bool {
-		if !strings.HasPrefix(r.URL.Path, "/v1/jobs/") || r.Method != http.MethodGet {
-			return false
-		}
-		calls.Add(1)
-		time.Sleep(40 * time.Millisecond) // both requests overlap
+		gets.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprint(w, `{"id":"j-n1-abcd0123-00000001","state":"done"}`)
 		return true
 	}
-	gw, srv := newHedgeGateway(t, HedgeOptions{FixedDelay: 5 * time.Millisecond}, a)
+	_, srv := newTestGateway(t, a)
 
-	resp, err := http.Get(srv.URL + "/v1/jobs/j-n1-abcd0123-00000001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"state":"done"`) {
-		t.Fatalf("status %d body %s", resp.StatusCode, body)
-	}
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("node saw %d GETs, want 2", n)
-	}
-	waitZeroHedges(t, gw)
-	// The scoreboard recorded exactly one decided hedge race.
-	resp, err = http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(metrics), `rcagate_hedges_total{node="n1"} 1`) {
-		t.Fatalf("hedge launch not counted:\n%s", metrics)
-	}
-}
-
-// TestGatewayHedgeNeverOnMutatingRoutes: DELETE goes out exactly once
-// even when slow enough that a GET would have hedged.
-func TestGatewayHedgeNeverOnMutatingRoutes(t *testing.T) {
-	a := newFakeNode("n1")
-	defer a.srv.Close()
-	var deletes atomic.Int32
-	a.handler = func(w http.ResponseWriter, r *http.Request) bool {
-		if !strings.HasPrefix(r.URL.Path, "/v1/jobs/") || r.Method != http.MethodDelete {
-			return false
+	for _, c := range []struct {
+		method string
+		want   int
+		count  *atomic.Int32
+	}{
+		{http.MethodGet, http.StatusOK, &gets},
+		{http.MethodDelete, http.StatusNoContent, &deletes},
+	} {
+		req, _ := http.NewRequest(c.method, srv.URL+"/v1/jobs/j-n1-abcd0123-00000001", nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		deletes.Add(1)
-		time.Sleep(60 * time.Millisecond)
-		w.WriteHeader(http.StatusNoContent)
-		return true
-	}
-	_, srv := newHedgeGateway(t, HedgeOptions{FixedDelay: 5 * time.Millisecond}, a)
-
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/jobs/j-n1-abcd0123-00000001", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("status %d, want 204", resp.StatusCode)
-	}
-	if n := deletes.Load(); n != 1 {
-		t.Fatalf("DELETE went out %d times, want exactly 1", n)
-	}
-}
-
-// waitZeroHedges polls the in-flight hedge gauge back to zero: a
-// stuck loser would pin it (and its goroutine and socket) forever.
-func waitZeroHedges(t *testing.T, gw *Gateway) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if gw.HedgesInFlight() == 0 {
-			return
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Fatalf("%s: status %d, want %d", c.method, resp.StatusCode, c.want)
 		}
-		time.Sleep(5 * time.Millisecond)
+		if n := c.count.Load(); n != 1 {
+			t.Fatalf("%s went out %d times, want exactly 1", c.method, n)
+		}
 	}
-	t.Fatalf("hedges in flight stuck at %d", gw.HedgesInFlight())
 }
 
 // TestGatewayRetryHonorsRetryAfter: an idempotent 503 retries on the

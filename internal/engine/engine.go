@@ -131,10 +131,6 @@ type Options struct {
 	// (see internal/faults). nil — the production default — costs one
 	// pointer compare per solve and nothing else.
 	Faults *faults.Injector
-	// SolveHist, when non-nil, receives the latency of every
-	// successful leader solve (cache misses only, matching the
-	// percentile ring). nil costs one nil check per solve.
-	SolveHist *obs.Histogram
 	// ShedTarget is the CoDel-style queue-wait target for adaptive
 	// load shedding: when the MINIMUM queue wait over a ShedWindow
 	// stays above it, Overloaded() reports true and the server sheds
@@ -225,7 +221,7 @@ func New(opts Options) *Engine {
 		},
 	}
 	e.stats.workers = opts.Workers
-	e.stats.solveHist = opts.SolveHist
+	e.stats.solveHist = newSolveHistogram()
 	e.shed = newShedController(opts.ShedTarget, opts.ShedWindow, time.Now())
 	for i := 0; i < opts.Workers; i++ {
 		e.wg.Add(1)
@@ -311,6 +307,11 @@ func (e *Engine) Stats() Stats {
 	}
 	return s
 }
+
+// SolveHistogram is the latency histogram of every successful leader
+// solve (cache misses only) behind the Stats percentiles, for the
+// serving layer's /metrics exposition.
+func (e *Engine) SolveHistogram() *obs.Histogram { return e.stats.solveHist }
 
 // worker is the pool loop: dequeue, run, until Close. Each worker
 // owns one reusable core.Solver for the lifetime of the pool — the

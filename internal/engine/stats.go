@@ -1,8 +1,7 @@
 // Aggregate serving statistics: lock-free atomic counters on the hot
 // path (the former single collector mutex serialized every job
-// completion across the pool), solve latency percentiles from a
-// bounded ring of recent observations (stats.LatencyRing, shared with
-// the async jobs subsystem).
+// completion across the pool), solve latency percentiles from the
+// native solve histogram that /metrics also exposes.
 
 package engine
 
@@ -11,12 +10,7 @@ import (
 	"time"
 
 	"dspaddr/internal/obs"
-	"dspaddr/internal/stats"
 )
-
-// latencyWindow is how many recent solve latencies feed the
-// percentile estimates.
-const latencyWindow = stats.LatencyWindow
 
 // Stats is a point-in-time snapshot of an engine's counters.
 type Stats struct {
@@ -49,8 +43,9 @@ type Stats struct {
 	// HitRate is CacheHits over (CacheHits+CacheMisses), 0 when idle.
 	HitRate float64 `json:"hitRate"`
 	// SolveP50Micros, SolveP90Micros and SolveP99Micros are latency
-	// percentiles in microseconds over the recent solve window
-	// (cache misses only — hits are two orders of magnitude cheaper).
+	// percentiles in microseconds over every solve since start,
+	// interpolated within the solve histogram's buckets (cache misses
+	// only — hits are two orders of magnitude cheaper).
 	SolveP50Micros float64 `json:"solveP50Micros"`
 	SolveP90Micros float64 `json:"solveP90Micros"`
 	SolveP99Micros float64 `json:"solveP99Micros"`
@@ -73,10 +68,15 @@ type collector struct {
 	errors   atomic.Uint64
 	timeouts atomic.Uint64
 	canceled atomic.Uint64
-	lat      stats.LatencyRing
-	// solveHist optionally mirrors the latency ring into a native
-	// Prometheus histogram (Options.SolveHist); nil-safe.
+	// solveHist holds the latency of every successful leader solve;
+	// the snapshot percentiles and /metrics both read it.
 	solveHist *obs.Histogram
+}
+
+// newSolveHistogram builds the collector's solve histogram.
+func newSolveHistogram() *obs.Histogram {
+	return obs.NewHistogram("rcaserve_engine_solve_duration_seconds",
+		"Engine solve latency (cache misses only).", nil)
 }
 
 func (c *collector) hit() {
@@ -95,7 +95,6 @@ func (c *collector) dedupedHit() {
 func (c *collector) solved(d time.Duration) {
 	c.jobs.Add(1)
 	c.misses.Add(1)
-	c.lat.Observe(d)
 	c.solveHist.Observe(d)
 }
 
@@ -130,7 +129,13 @@ func (c *collector) snapshot() Stats {
 	if looked := s.CacheHits + s.CacheMisses; looked > 0 {
 		s.HitRate = float64(s.CacheHits) / float64(looked)
 	}
-	qs := c.lat.QuantilesMicros(0.50, 0.90, 0.99)
-	s.SolveP50Micros, s.SolveP90Micros, s.SolveP99Micros = qs[0], qs[1], qs[2]
+	s.SolveP50Micros = micros(c.solveHist.Quantile(0.50))
+	s.SolveP90Micros = micros(c.solveHist.Quantile(0.90))
+	s.SolveP99Micros = micros(c.solveHist.Quantile(0.99))
 	return s
+}
+
+// micros renders a duration in (fractional) microseconds.
+func micros(d time.Duration) float64 {
+	return float64(d) / float64(time.Microsecond)
 }

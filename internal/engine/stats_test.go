@@ -1,66 +1,48 @@
-// Tests for the stats collector's latency ring: wraparound past the
-// window and percentile edge cases with zero and one observations.
+// Tests for the stats collector's solve percentiles: they come from
+// the solve histogram, cover every solve since start and are zero
+// before the first one.
 
 package engine
 
 import (
 	"testing"
 	"time"
+
+	"dspaddr/internal/model"
 )
 
-// TestLatencyRingWraparound overwrites the whole ring twice and
-// checks the percentiles reflect only the newest window — an old
-// generation of fast solves must not drag the estimates down — while
-// the job counters keep counting every observation.
-func TestLatencyRingWraparound(t *testing.T) {
-	var c collector
-	for i := 0; i < latencyWindow; i++ {
+// TestSolvePercentilesSinceStart runs two generations of solves and
+// checks the percentiles see both — the histogram keeps every
+// observation since start, interpolated within its buckets — while the
+// job counters keep counting every observation.
+func TestSolvePercentilesSinceStart(t *testing.T) {
+	c := collector{solveHist: newSolveHistogram()}
+	const n = 4096
+	for i := 0; i < n; i++ {
 		c.solved(10 * time.Microsecond)
 	}
-	if s := c.snapshot(); s.SolveP50Micros != 10 || s.SolveP99Micros != 10 {
-		t.Fatalf("pre-wrap percentiles: p50=%g p99=%g, want 10/10", s.SolveP50Micros, s.SolveP99Micros)
+	if s := c.snapshot(); s.SolveP50Micros != 12.5 || s.SolveP99Micros != 24.75 {
+		t.Fatalf("first generation: p50=%g p99=%g, want 12.5/24.75 (inside the 25µs bucket)", s.SolveP50Micros, s.SolveP99Micros)
 	}
-	for i := 0; i < latencyWindow; i++ {
+	for i := 0; i < n; i++ {
 		c.solved(1000 * time.Microsecond)
 	}
+	// Half the samples sit in (0, 25µs], half in (500µs, 1ms]: p50
+	// closes the first bucket, p90 and p99 interpolate in the second.
 	s := c.snapshot()
-	if s.SolveP50Micros != 1000 || s.SolveP90Micros != 1000 || s.SolveP99Micros != 1000 {
-		t.Fatalf("post-wrap percentiles: p50=%g p90=%g p99=%g, want 1000s — stale ring entries leaked in",
+	if s.SolveP50Micros != 25 || s.SolveP90Micros != 900 || s.SolveP99Micros != 990 {
+		t.Fatalf("both generations: p50=%g p90=%g p99=%g, want 25/900/990",
 			s.SolveP50Micros, s.SolveP90Micros, s.SolveP99Micros)
 	}
-	if s.Jobs != 2*latencyWindow || s.CacheMisses != 2*latencyWindow {
+	if s.Jobs != 2*n || s.CacheMisses != 2*n {
 		t.Fatalf("counters lost observations: %+v", s)
-	}
-}
-
-// TestLatencyRingPartialWrap crosses the window boundary by a
-// fraction and checks the sample size stays capped at the window
-// while mixing old and new generations.
-func TestLatencyRingPartialWrap(t *testing.T) {
-	var c collector
-	for i := 0; i < latencyWindow; i++ {
-		c.solved(10 * time.Microsecond)
-	}
-	const extra = 100
-	for i := 0; i < extra; i++ {
-		c.solved(1000 * time.Microsecond)
-	}
-	s := c.snapshot()
-	// The ring holds latencyWindow-extra old and extra new samples:
-	// p50 still sits on the old generation, p99 must see the new one
-	// (extra/latencyWindow ≈ 2.4% > 1%).
-	if s.SolveP50Micros != 10 {
-		t.Fatalf("p50 = %g, want 10 (old generation still dominates)", s.SolveP50Micros)
-	}
-	if s.SolveP99Micros != 1000 {
-		t.Fatalf("p99 = %g, want 1000 (new generation in the tail)", s.SolveP99Micros)
 	}
 }
 
 // TestPercentilesNoSamples checks an idle collector reports zero
 // percentiles rather than NaN or garbage.
 func TestPercentilesNoSamples(t *testing.T) {
-	var c collector
+	c := collector{solveHist: newSolveHistogram()}
 	s := c.snapshot()
 	if s.SolveP50Micros != 0 || s.SolveP90Micros != 0 || s.SolveP99Micros != 0 {
 		t.Fatalf("idle percentiles non-zero: %+v", s)
@@ -70,18 +52,37 @@ func TestPercentilesNoSamples(t *testing.T) {
 	}
 }
 
-// TestPercentilesOneSample checks a single observation pins every
-// percentile to itself.
+// TestPercentilesOneSample checks a single observation places every
+// percentile inside its bucket, (25µs, 50µs], at the rank's share of
+// the bucket width.
 func TestPercentilesOneSample(t *testing.T) {
-	var c collector
+	c := collector{solveHist: newSolveHistogram()}
 	c.solved(42 * time.Microsecond)
 	s := c.snapshot()
-	for _, p := range []float64{s.SolveP50Micros, s.SolveP90Micros, s.SolveP99Micros} {
-		if p != 42 {
-			t.Fatalf("single-sample percentiles %+v, want all 42", s)
-		}
+	if s.SolveP50Micros != 37.5 || s.SolveP90Micros != 47.5 || s.SolveP99Micros != 49.75 {
+		t.Fatalf("single-sample percentiles %+v, want 37.5/47.5/49.75", s)
 	}
 	if s.Jobs != 1 || s.CacheMisses != 1 {
 		t.Fatalf("counters off: %+v", s)
+	}
+}
+
+// TestEngineStatsPercentilesFromSolves drives real solves through an
+// engine and checks Stats reads the same histogram /metrics exposes.
+func TestEngineStatsPercentilesFromSolves(t *testing.T) {
+	e := New(Options{Workers: 1, CacheSize: -1})
+	defer e.Close()
+	for i := 0; i < 3; i++ {
+		req := Request{Pattern: model.PaperExample(), AGU: model.AGUSpec{Registers: 1, ModifyRange: 1}}
+		if res := e.Run(t.Context(), req); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	s := e.Stats()
+	if s.SolveP50Micros <= 0 || s.SolveP99Micros < s.SolveP50Micros {
+		t.Fatalf("solve percentiles after 3 solves: %+v", s)
+	}
+	if n := e.SolveHistogram().Count(); n != 3 {
+		t.Fatalf("solve histogram count %d, want 3", n)
 	}
 }

@@ -36,7 +36,6 @@ import (
 
 	"dspaddr/internal/faults"
 	"dspaddr/internal/obs"
-	"dspaddr/internal/stats"
 	"dspaddr/internal/wal"
 )
 
@@ -156,12 +155,6 @@ type Options struct {
 	// effective TTL is Faults.TTL(TTL)). nil — the production default
 	// — is free.
 	Faults *faults.Injector
-	// QueueWaitHist and RunHist, when non-nil, mirror the queue-wait
-	// and run latency rings into native Prometheus histograms; nil is
-	// one nil check per dispatch.
-	QueueWaitHist *obs.Histogram
-	RunHist       *obs.Histogram
-
 	// WAL, when non-nil, makes every admission and terminal transition
 	// durable: a submission is appended to the log before it is
 	// queued (and before the caller gets its IDs back), and a finish
@@ -300,9 +293,10 @@ type Manager struct {
 	queue *queue
 	store *store
 
-	// Stage-latency rings feeding the Metrics percentiles.
-	waitLat stats.LatencyRing
-	runLat  stats.LatencyRing
+	// Stage-latency histograms behind the Metrics percentiles, the
+	// 429 Retry-After estimate and the /metrics families.
+	waitHist *obs.Histogram
+	runHist  *obs.Histogram
 
 	prefix string // random per-manager ID prefix
 	// idFmt is the Sprintf format issuing IDs: "j-<prefix>-%08x", or
@@ -386,6 +380,10 @@ func New(opts Options) *Manager {
 		prefix:   hex.EncodeToString(pfx[:]),
 		closed:   make(chan struct{}),
 		draining: make(chan struct{}),
+		waitHist: obs.NewHistogram("rcaserve_job_queue_wait_duration_seconds",
+			"Async job queue wait (submission to dispatch).", nil),
+		runHist: obs.NewHistogram("rcaserve_job_run_duration_seconds",
+			"Async job run time (dispatch to completion).", nil),
 	}
 	if opts.NodeTag != "" {
 		m.idFmt = "j-" + opts.NodeTag + "-" + m.prefix + "-%08x"
@@ -885,8 +883,7 @@ func (m *Manager) dispatch() {
 		// while a job is changing hands.
 		m.running.Add(1)
 		m.depth.Add(-1)
-		m.waitLat.Observe(now.Sub(rec.submitted))
-		m.opts.QueueWaitHist.Observe(now.Sub(rec.submitted))
+		m.waitHist.Observe(now.Sub(rec.submitted))
 
 		out, err := m.opts.Run(ctx, payload)
 		cancel()
@@ -916,8 +913,7 @@ func (m *Manager) dispatch() {
 		rec.mu.Unlock()
 
 		m.running.Add(-1)
-		m.runLat.Observe(finish.Sub(now))
-		m.opts.RunHist.Observe(finish.Sub(now))
+		m.runHist.Observe(finish.Sub(now))
 		switch state {
 		case StateDone:
 			m.done.Add(1)

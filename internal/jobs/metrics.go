@@ -1,13 +1,17 @@
 // Aggregate queue/store metrics: cheap atomic counters on the hot
-// path, stage-latency percentiles from bounded rings of recent
-// observations (stats.LatencyRing, shared with the engine's
-// collector) — covering the two stages the engine cannot see: queue
+// path, stage-latency percentiles from the manager's native
+// histograms — covering the two stages the engine cannot see: queue
 // wait (submission to dispatch) and run time (dispatch to
 // completion).
 
 package jobs
 
-import "math"
+import (
+	"math"
+	"time"
+
+	"dspaddr/internal/obs"
+)
 
 // Metrics is a point-in-time snapshot of a Manager's counters; every
 // field maps onto a Prometheus sample in the serving layer.
@@ -41,9 +45,10 @@ type Metrics struct {
 	// admitted — non-zero means durability is degraded.
 	Recovered       uint64 `json:"recovered"`
 	WALAppendErrors uint64 `json:"walAppendErrors"`
-	// Stage latency percentiles in microseconds over the recent
-	// window: queue wait (submission → dispatch) and run time
-	// (dispatch → completion).
+	// Stage latency percentiles in microseconds over every job since
+	// start, interpolated within the stage histogram's buckets: queue
+	// wait (submission → dispatch) and run time (dispatch →
+	// completion).
 	QueueWaitP50Micros float64 `json:"queueWaitP50Micros"`
 	QueueWaitP90Micros float64 `json:"queueWaitP90Micros"`
 	QueueWaitP99Micros float64 `json:"queueWaitP99Micros"`
@@ -62,9 +67,10 @@ const (
 
 // RetryAfterSeconds estimates how long a rejected submitter should
 // wait before retrying: the time the current backlog needs to drain,
-// i.e. the recent median job run time × queue depth / runner count
-// (the Prometheus identity rcaserve_job_run_seconds{quantile="0.5"} ×
-// rcaserve_queue_depth / rcaserve_job_runners), rounded up and clamped
+// i.e. the median job run time × queue depth / runner count (the
+// Prometheus identity histogram_quantile(0.5,
+// rcaserve_job_run_duration_seconds_bucket) × rcaserve_queue_depth /
+// rcaserve_job_runners), rounded up and clamped
 // to [1, 60] seconds. With no run-time observations yet (cold start)
 // it falls back to the minimum — there is nothing to wait for.
 func (m Metrics) RetryAfterSeconds() int {
@@ -90,12 +96,11 @@ func (m Metrics) RetryAfterSeconds() int {
 // Metrics.RetryAfterSeconds for the 429 rejection path: it reads only
 // the three inputs the estimate needs (run-time p50, queue depth,
 // runner count) instead of snapshotting every counter and both
-// latency rings — the rejection path runs hottest exactly when the
-// service is most loaded.
+// latency histograms — the rejection path runs hottest exactly when
+// the service is most loaded.
 func (m *Manager) RetryAfterSeconds() int {
-	qs := m.runLat.QuantilesMicros(0.50)
 	return Metrics{
-		RunP50Micros: qs[0],
+		RunP50Micros: micros(m.runHist.Quantile(0.50)),
 		QueueDepth:   int(m.depth.Load()),
 		Runners:      m.opts.Runners,
 	}.RetryAfterSeconds()
@@ -120,9 +125,22 @@ func (m *Manager) Metrics() Metrics {
 		Recovered:       m.recovered.Load(),
 		WALAppendErrors: m.walErrs.Load(),
 	}
-	qs := m.waitLat.QuantilesMicros(0.50, 0.90, 0.99)
-	out.QueueWaitP50Micros, out.QueueWaitP90Micros, out.QueueWaitP99Micros = qs[0], qs[1], qs[2]
-	qs = m.runLat.QuantilesMicros(0.50, 0.90, 0.99)
-	out.RunP50Micros, out.RunP90Micros, out.RunP99Micros = qs[0], qs[1], qs[2]
+	out.QueueWaitP50Micros = micros(m.waitHist.Quantile(0.50))
+	out.QueueWaitP90Micros = micros(m.waitHist.Quantile(0.90))
+	out.QueueWaitP99Micros = micros(m.waitHist.Quantile(0.99))
+	out.RunP50Micros = micros(m.runHist.Quantile(0.50))
+	out.RunP90Micros = micros(m.runHist.Quantile(0.90))
+	out.RunP99Micros = micros(m.runHist.Quantile(0.99))
 	return out
+}
+
+// QueueWaitHistogram and RunHistogram are the stage-latency
+// histograms behind the Metrics percentiles, for the serving layer's
+// /metrics exposition.
+func (m *Manager) QueueWaitHistogram() *obs.Histogram { return m.waitHist }
+func (m *Manager) RunHistogram() *obs.Histogram       { return m.runHist }
+
+// micros renders a duration in (fractional) microseconds.
+func micros(d time.Duration) float64 {
+	return float64(d) / float64(time.Microsecond)
 }

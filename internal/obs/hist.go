@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,6 +71,53 @@ func (h *Histogram) Count() uint64 {
 		return 0
 	}
 	return h.count.Load()
+}
+
+// Quantile estimates the q-quantile (q in [0,1]) of every observation
+// since construction the way Prometheus histogram_quantile does: find
+// the bucket holding rank q·count and interpolate linearly between its
+// lower and upper bound (the first bucket starts at 0). A rank in the
+// overflow bucket answers the largest finite bound. Nil or empty
+// histograms answer 0.
+func (h *Histogram) Quantile(q float64) time.Duration {
+	if h == nil {
+		return 0
+	}
+	// Sum the cells rather than reading count, so the rank and the
+	// buckets come from the same (unsynchronized) pass.
+	counts := make([]uint64, len(h.cells))
+	var total uint64
+	for i := range h.cells {
+		counts[i] = h.cells[i].Load()
+		total += counts[i]
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := q * float64(total)
+	var cum uint64
+	for i, n := range counts {
+		if n == 0 || float64(cum+n) < rank {
+			cum += n
+			continue
+		}
+		if i == len(h.bounds) {
+			break
+		}
+		lo := 0.0
+		if i > 0 {
+			lo = h.bounds[i-1]
+		}
+		s := lo + (h.bounds[i]-lo)*(rank-float64(cum))/float64(n)
+		return seconds(s)
+	}
+	return seconds(h.bounds[len(h.bounds)-1])
+}
+
+// seconds converts float seconds to a Duration, rounded to the
+// nanosecond so bounds such as 10 and 2.5e-3 convert exactly.
+func seconds(s float64) time.Duration {
+	return time.Duration(math.Round(s * float64(time.Second)))
 }
 
 // Expose renders the full exposition block for the histogram.

@@ -159,6 +159,46 @@ func TestHistogramBucketsAndExposition(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantile pins the histogram_quantile estimate: zero
+// when there is nothing to estimate, linear interpolation inside the
+// bucket holding the rank, the largest finite bound for the overflow.
+func TestHistogramQuantile(t *testing.T) {
+	obs := func(bounds []float64, ds ...time.Duration) *Histogram {
+		h := NewHistogram("q", "q", bounds)
+		for _, d := range ds {
+			h.Observe(d)
+		}
+		return h
+	}
+	var nilH *Histogram
+	secs := []float64{1, 2, 4}
+	cases := []struct {
+		name string
+		h    *Histogram
+		q    float64
+		want time.Duration
+	}{
+		{"nil", nilH, 0.5, 0},
+		{"empty", obs(nil), 0.99, 0},
+		// One sample in (25µs, 50µs]: the rank sits half-way up it.
+		{"one sample p50", obs(nil, 42*time.Microsecond), 0.5, 37500 * time.Nanosecond},
+		{"one sample p99", obs(nil, 42*time.Microsecond), 0.99, 49750 * time.Nanosecond},
+		{"all overflow", obs(nil, 20*time.Second, time.Minute), 0.5, 10 * time.Second},
+		// Two samples in (1s, 2s], two in (2s, 4s]: rank 3 of 4 lies
+		// half-way into the second bucket, 2 + (4-2)·(3-2)/2 = 3s.
+		{"interpolated p75", obs(secs, 1500*time.Millisecond, 1500*time.Millisecond, 3*time.Second, 3*time.Second), 0.75, 3 * time.Second},
+		// Rank 2 of 4 closes the first bucket: its upper bound.
+		{"bucket edge p50", obs(secs, 1500*time.Millisecond, 1500*time.Millisecond, 3*time.Second, 3*time.Second), 0.5, 2 * time.Second},
+		// The empty first bucket is skipped, not divided by.
+		{"empty leading bucket p0", obs(secs, 3*time.Second), 0, 2 * time.Second},
+	}
+	for _, c := range cases {
+		if got := c.h.Quantile(c.q); got != c.want {
+			t.Errorf("%s: Quantile(%v) = %v, want %v", c.name, c.q, got, c.want)
+		}
+	}
+}
+
 func TestHistogramObserveZeroAlloc(t *testing.T) {
 	h := NewHistogram("x", "x", nil)
 	allocs := testing.AllocsPerRun(100, func() { h.Observe(3 * time.Millisecond) })

@@ -17,7 +17,7 @@ import (
 
 // Sample is one exposition sample line.
 type Sample struct {
-	Name   string // full sample name, e.g. rcaserve_job_run_seconds_bucket
+	Name   string // full sample name, e.g. rcaserve_job_run_duration_seconds_bucket
 	Labels map[string]string
 	Value  float64
 }
