@@ -70,7 +70,7 @@ func (s *server) handleJobsCollection(w http.ResponseWriter, r *http.Request) {
 // 429 with Retry-After when the queue cannot take the submission.
 func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var sub api.Submit
-	if _, err := api.DecodeBody(r, &sub); err != nil {
+	if err := decodeJSON(r, &sub); err != nil {
 		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -108,7 +108,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if len(ids) == 1 {
 		resp.ID = ids[0]
 	}
-	api.WriteJSON(w, http.StatusAccepted, resp)
+	writeJSON(reserveEncode(r), w, http.StatusAccepted, resp)
 }
 
 // handleJobList serves GET /v1/jobs?state=&offset=&limit=.
@@ -142,7 +142,7 @@ func (s *server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	for i, st := range statuses {
 		resp.Jobs[i] = toStatus(st)
 	}
-	api.WriteJSON(w, http.StatusOK, resp)
+	writeJSON(reserveEncode(r), w, http.StatusOK, resp)
 }
 
 // handleJobByID routes /v1/jobs/{id}: GET polls, DELETE cancels.

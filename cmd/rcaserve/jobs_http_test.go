@@ -109,7 +109,7 @@ func TestAsyncBatchMatchesSync(t *testing.T) {
 		for j := range offs {
 			offs[j] = fmt.Sprint((j*7+shape*3)%11 - 5)
 		}
-		entries[i] = fmt.Sprintf(`{"pattern": {"offsets": [%s]}, "agu": {"registers": 2, "modifyRange": 1}}`,
+		entries[i] = fmt.Sprintf(`{"pattern": {"offsets": [%s]}, "agu": {"registers": 2, "modifyRange": 1}, "report": true}`,
 			strings.Join(offs, ","))
 	}
 	batch := `{"jobs": [` + strings.Join(entries, ",") + `]}`
@@ -133,7 +133,7 @@ func TestAsyncBatchMatchesSync(t *testing.T) {
 		}
 		got, want := st.Result.Results[0], sync.Results[i].Results[0]
 		if got.Cost != want.Cost || got.RegistersUsed != want.RegistersUsed ||
-			got.VirtualRegisters != want.VirtualRegisters || got.Report != want.Report {
+			got.VirtualRegisters != want.VirtualRegisters || got.Report == "" || got.Report != want.Report {
 			t.Fatalf("job %d async %+v differs from sync %+v", i, got, want)
 		}
 	}

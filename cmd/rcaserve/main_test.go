@@ -44,13 +44,9 @@ func newTestServerWith(t *testing.T, opts engine.Options, sopts serverOptions) *
 }
 
 // TestGoldenNodeResponses pins the bytes a node answers for the paper
-// example and a loop job (elapsed time zeroed) against goldens written
-// by the build before the wire types moved into internal/api.
+// example, with and without its report, and a loop job (elapsed time
+// zeroed).
 func TestGoldenNodeResponses(t *testing.T) {
-	eng := engine.New(engine.Options{Workers: 1})
-	defer eng.Close()
-	s := newServer(eng, serverOptions{version: "golden"})
-	defer s.close()
 	for _, tc := range []struct {
 		golden string
 		job    api.Job
@@ -58,6 +54,11 @@ func TestGoldenNodeResponses(t *testing.T) {
 		{"../../internal/api/testdata/paper_example_response.json", api.Job{
 			Pattern: &api.Pattern{Offsets: []int{1, 0, 2, -1, 1, 0, -2}},
 			AGU:     api.AGU{Registers: 2, ModifyRange: 1},
+		}},
+		{"../../internal/api/testdata/paper_example_report_response.json", api.Job{
+			Pattern: &api.Pattern{Offsets: []int{1, 0, 2, -1, 1, 0, -2}},
+			AGU:     api.AGU{Registers: 2, ModifyRange: 1},
+			Report:  true,
 		}},
 		{"testdata/loop_example_response.json", api.Job{
 			Loop:     "for (i = 0; i <= N; i++) { y[i] = x[i] + x[i-1]; }",
@@ -69,7 +70,12 @@ func TestGoldenNodeResponses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A fresh engine per case, so every answer is a cold solve.
+		eng := engine.New(engine.Options{Workers: 1})
+		s := newServer(eng, serverOptions{version: "golden"})
 		resp, err := s.runJob(context.Background(), tc.job)
+		s.close()
+		eng.Close()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,8 @@ package main
 
 import (
 	"encoding/json"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -311,6 +313,76 @@ func TestDebugRequestsRoundTrip(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad min_ms: status %d", resp.StatusCode)
+	}
+}
+
+// TestBatchTraceKeepsHTTPSpans: a cold 16-job batch records enough
+// engine spans to fill the trace, and its retained trace still holds
+// the handler's http.decode and http.encode spans.
+func TestBatchTraceKeepsHTTPSpans(t *testing.T) {
+	ts := newTestServer(t, engine.Options{Workers: 2})
+	rng := rand.New(rand.NewSource(7))
+	jobs := make([]string, 16)
+	for i := range jobs {
+		offs := make([]string, 32+rng.Intn(33))
+		for j := range offs {
+			offs[j] = strconv.Itoa(rng.Intn(17) - 8)
+		}
+		jobs[i] = `{"pattern":{"offsets":[` + strings.Join(offs, ",") + `]},"agu":{"registers":2,"modifyRange":1}}`
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/batch", strings.NewReader(`{"jobs":[`+strings.Join(jobs, ",")+`]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-Id", "trace-batch-16")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Drain the body so the connection stays open: a client hang-up
+	// cancels the request, and the middleware keeps no spans then.
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d", resp.StatusCode)
+	}
+
+	// The middleware retains the trace after the response is written,
+	// so poll for it.
+	var tr *obs.TraceSnapshot
+	for deadline := time.Now().Add(5 * time.Second); tr == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("batch trace not retained")
+		}
+		var dbg debugRequestsJSON
+		getJSON(t, ts.URL+"/debug/requests", &dbg)
+		for _, s := range dbg.Traces {
+			if s.ID == "trace-batch-16" {
+				tr = s
+			}
+		}
+	}
+	if tr.DroppedSpans == 0 {
+		t.Fatalf("batch recorded %d spans, under the cap of %d; the test no longer fills the trace", len(tr.Spans), obs.MaxSpans)
+	}
+	spans := map[string]obs.SpanSnapshot{}
+	last := int64(0)
+	for _, sp := range tr.Spans {
+		spans[sp.Name] = sp
+		if sp.Name != "http.encode" {
+			last = max(last, sp.StartMicros+sp.DurMicros)
+		}
+	}
+	dec, okDec := spans["http.decode"]
+	enc, okEnc := spans["http.encode"]
+	if !okDec || !okEnc {
+		t.Fatalf("http spans missing: decode %v, encode %v (%d spans, %d dropped)", okDec, okEnc, len(tr.Spans), tr.DroppedSpans)
+	}
+	// The encode is timed from after the fan-out, not from its slot's
+	// reservation.
+	if enc.StartMicros < dec.StartMicros+dec.DurMicros || enc.StartMicros+1000 < last {
+		t.Errorf("http.encode starts at %dµs; decode ends at %dµs, the last other span at %dµs",
+			enc.StartMicros, dec.StartMicros+dec.DurMicros, last)
 	}
 }
 

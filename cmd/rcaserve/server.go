@@ -158,8 +158,9 @@ func (s *server) handler() http.Handler {
 	return s.instrument(mux)
 }
 
-// toAlloc renders one single-pattern allocation for the wire.
-func toAlloc(res *core.Result, cacheHit bool, elapsedMicros int64) api.Alloc {
+// toAlloc renders one single-pattern allocation for the wire; the
+// text report is formatted only when the job asked for it.
+func toAlloc(res *core.Result, cacheHit bool, elapsedMicros int64, report bool) api.Alloc {
 	out := api.Alloc{
 		Array:         res.Pattern.Array,
 		Offsets:       res.Pattern.Offsets,
@@ -175,7 +176,9 @@ func toAlloc(res *core.Result, cacheHit bool, elapsedMicros int64) api.Alloc {
 	for i, p := range res.Assignment.Paths {
 		out.Registers[i] = []int(p)
 	}
-	out.Report = res.Report()
+	if report {
+		out.Report = res.Report()
+	}
 	return out
 }
 
@@ -240,7 +243,7 @@ func (s *server) runJob(ctx context.Context, job api.Job) (api.JobResponse, erro
 			return api.JobResponse{Error: res.Err.Error()}, res.Err
 		}
 		return api.JobResponse{Results: []api.Alloc{
-			toAlloc(res.Result, res.CacheHit, res.Elapsed.Microseconds()),
+			toAlloc(res.Result, res.CacheHit, res.Elapsed.Microseconds(), job.Report),
 		}}, nil
 	}
 	prog, err := frontend.Parse(job.Loop, job.Bindings)
@@ -258,7 +261,7 @@ func (s *server) runJob(ctx context.Context, job api.Job) (api.JobResponse, erro
 	}
 	resp := api.JobResponse{Results: make([]api.Alloc, 0, len(res.Result.Arrays))}
 	for _, aa := range res.Result.Arrays {
-		a := toAlloc(aa.Result, res.CacheHit, res.Elapsed.Microseconds())
+		a := toAlloc(aa.Result, res.CacheHit, res.Elapsed.Microseconds(), job.Report)
 		a.GlobalRegisters = aa.GlobalRegisters
 		resp.Results = append(resp.Results, a)
 	}
@@ -292,16 +295,17 @@ func (s *server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var job api.Job
-	if _, err := api.DecodeBody(r, &job); err != nil {
+	if err := decodeJSON(r, &job); err != nil {
 		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
+	enc := reserveEncode(r)
 	resp, err := s.runJob(r.Context(), job)
 	if err != nil {
-		api.WriteJSON(w, statusForJobError(err), resp)
+		writeJSON(enc, w, statusForJobError(err), resp)
 		return
 	}
-	api.WriteJSON(w, http.StatusOK, resp)
+	writeJSON(enc, w, http.StatusOK, resp)
 }
 
 // handleBatch serves POST /v1/batch: many jobs fanned out over the
@@ -317,7 +321,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var batch api.BatchRequest
-	if _, err := api.DecodeBody(r, &batch); err != nil {
+	if err := decodeJSON(r, &batch); err != nil {
 		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -325,6 +329,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusBadRequest, "batch has no jobs")
 		return
 	}
+	enc := reserveEncode(r)
 	start := time.Now()
 	resp := api.BatchResponse{Results: make([]api.JobResponse, len(batch.Jobs))}
 	var wg sync.WaitGroup
@@ -337,7 +342,32 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	resp.ElapsedMicros = time.Since(start).Microseconds()
-	api.WriteJSON(w, http.StatusOK, resp)
+	writeJSON(enc, w, http.StatusOK, resp)
+}
+
+// decodeJSON strictly decodes the request body into v inside an
+// http.decode span.
+func decodeJSON(r *http.Request, v any) error {
+	sp := obs.FromContext(r.Context()).StartSpan("http.decode")
+	defer sp.End()
+	_, err := api.DecodeBody(r, v)
+	return err
+}
+
+// reserveEncode takes the request's http.encode span slot before the
+// handler's work. A cold 16-job batch records about nine engine spans
+// per job, more than the trace's obs.MaxSpans slots; a slot taken up
+// front keeps the handler's own phase from being the span dropped.
+func reserveEncode(r *http.Request) obs.SpanHandle {
+	return obs.FromContext(r.Context()).StartSpan("http.encode")
+}
+
+// writeJSON sends v inside enc, restarted so the span times the encode
+// and the write alone.
+func writeJSON(enc obs.SpanHandle, w http.ResponseWriter, status int, v any) {
+	enc = enc.Restart()
+	api.WriteJSON(w, status, v)
+	enc.End()
 }
 
 // handleStats serves GET /v1/stats.

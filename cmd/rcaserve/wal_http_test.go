@@ -50,7 +50,8 @@ func newWALServer(t *testing.T, dir string, sopts serverOptions) (*httptest.Serv
 
 const walSubmitBody = `{
 	"pattern": {"offsets": [1, 0, 2, -1, 1, 0, -2]},
-	"agu": {"registers": 2, "modifyRange": 1}
+	"agu": {"registers": 2, "modifyRange": 1},
+	"report": true
 }`
 
 // TestWALRestartPreservesResults is the HTTP durability loop: submit
@@ -83,7 +84,7 @@ func TestWALRestartPreservesResults(t *testing.T) {
 		t.Fatalf("recovered job not done with a result: %+v", second)
 	}
 	a, b := first.Result.Results[0], second.Result.Results[0]
-	if a.Cost != b.Cost || a.RegistersUsed != b.RegistersUsed || a.Report != b.Report {
+	if a.Cost != b.Cost || a.RegistersUsed != b.RegistersUsed || a.Report == "" || a.Report != b.Report {
 		t.Errorf("recovered result drifted:\n first: %+v\nsecond: %+v", a, b)
 	}
 	if second.Priority != first.Priority || second.TraceID != first.TraceID {

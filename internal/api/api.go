@@ -64,6 +64,10 @@ type Job struct {
 	// Strategy selects the phase-2 merge heuristic
 	// (greedy|naive|smallest|optimal); empty means greedy.
 	Strategy string `json:"strategy,omitempty"`
+	// Report asks for each result's human-readable allocation report.
+	// It is opt-in: the text repeats the rest of the result and more
+	// than doubles the response.
+	Report bool `json:"report,omitempty"`
 }
 
 // Job shape errors, reported per job.
@@ -115,10 +119,12 @@ type Alloc struct {
 	Registers        [][]int `json:"registers"`
 	// GlobalRegisters maps this array's register indices to loop-wide
 	// physical registers (loop jobs only).
-	GlobalRegisters []int  `json:"globalRegisters,omitempty"`
-	CacheHit        bool   `json:"cacheHit"`
-	ElapsedMicros   int64  `json:"elapsedMicros"`
-	Report          string `json:"report"`
+	GlobalRegisters []int `json:"globalRegisters,omitempty"`
+	CacheHit        bool  `json:"cacheHit"`
+	ElapsedMicros   int64 `json:"elapsedMicros"`
+	// Report is the multi-line allocation report, present only when
+	// the job set Report.
+	Report string `json:"report,omitempty"`
 }
 
 // JobResponse is the outcome of one job: per-array results, or an

@@ -12,10 +12,11 @@ import (
 	"testing"
 )
 
-// The golden files under testdata were written by the build before
-// this package existed, from the types and helpers then private to
-// rcaserve. A byte that moves here changes what clients parse and
-// what an older WAL replays.
+// The golden files under testdata pin the wire: a byte that moves
+// here changes what clients parse and what an older WAL replays. The
+// *.wal records were written by the build before this package existed
+// and must never be regenerated. The response goldens are compact JSON
+// without the opt-in "report" unless their name says otherwise.
 
 func golden(t *testing.T, name string) []byte {
 	t.Helper()
@@ -26,8 +27,8 @@ func golden(t *testing.T, name string) []byte {
 	return b
 }
 
-// TestGoldenResponses pins the exact response bytes: indentation, the
-// field order and names, omitted empties and HTML escaping. Each
+// TestGoldenResponses pins the exact response bytes: compact output,
+// the field order and names, omitted empties and HTML escaping. Each
 // golden decodes strictly into its type and renders back unchanged.
 func TestGoldenResponses(t *testing.T) {
 	for _, tc := range []struct {
@@ -36,6 +37,7 @@ func TestGoldenResponses(t *testing.T) {
 		status int
 	}{
 		{"paper_example_response.json", new(JobResponse), http.StatusOK},
+		{"paper_example_report_response.json", new(JobResponse), http.StatusOK},
 		{"list_response.json", new(ListResponse), http.StatusOK},
 		{"submit_response.json", new(SubmitResponse), http.StatusAccepted},
 		{"stats.json", new(Stats), http.StatusOK},
@@ -69,6 +71,16 @@ func TestGoldenResponses(t *testing.T) {
 	if a := resp.Results[0]; a.Cost != 0 || a.RegistersUsed != 2 ||
 		!reflect.DeepEqual(a.Registers, [][]int{{0, 1, 3, 6}, {2, 4, 5}}) {
 		t.Errorf("paper example golden decodes to %+v", a)
+	}
+
+	// The report is opt-in: absent from the default answer, and the
+	// answer that asked for it is the WAL's result record, one line.
+	if bytes.Contains(golden(t, "paper_example_response.json"), []byte(`"report"`)) {
+		t.Error(`default paper example response carries a "report" key`)
+	}
+	withReport := golden(t, "paper_example_report_response.json")
+	if want := append(golden(t, "paper_example_result.wal"), '\n'); !bytes.Equal(withReport, want) {
+		t.Errorf("report response is not the WAL result record\n got: %s\nwant: %s", withReport, want)
 	}
 }
 
@@ -125,6 +137,7 @@ func randomJob(rng *rand.Rand) Job {
 		AGU:      AGU{Registers: rng.Intn(9) - 2, ModifyRange: rng.Intn(9) - 2},
 		Wrap:     rng.Intn(2) == 0,
 		Strategy: []string{"", "greedy", "naive", "smallest", "optimal", str()}[rng.Intn(6)],
+		Report:   rng.Intn(2) == 0,
 	}
 	if rng.Intn(2) == 0 {
 		p := &Pattern{Array: str(), Stride: rng.Intn(5) - 1, Offsets: make([]int, rng.Intn(40))}
@@ -143,6 +156,27 @@ func randomJob(rng *rand.Rand) Job {
 		}
 	}
 	return j
+}
+
+// TestReportFlagDecodes: a payload written before jobs could ask for a
+// report (every WAL golden) decodes to Report false, and "report": true
+// survives the strict decoder and the WAL codec.
+func TestReportFlagDecodes(t *testing.T) {
+	for _, name := range []string{"pattern_job.wal", "loop_job.wal"} {
+		var job Job
+		if err := decode(golden(t, name), &job); err != nil || job.Report {
+			t.Errorf("%s: decoded Report %v (err %v), want false", name, job.Report, err)
+		}
+	}
+	body := []byte(`{"pattern":{"offsets":[1,0,2]},"agu":{"registers":1,"modifyRange":1},"report":true}`)
+	var job Job
+	if err := decode(body, &job); err != nil || !job.Report {
+		t.Fatalf("report:true decoded to Report %v (err %v)", job.Report, err)
+	}
+	rec, err := EncodeRecord(job)
+	if err != nil || !bytes.Equal(rec, body) {
+		t.Fatalf("report:true WAL record %s (err %v), want %s", rec, err, body)
+	}
 }
 
 // TestJobRoundTrip: encode → decode is the identity on random jobs,

@@ -11,13 +11,12 @@ import (
 	"strings"
 )
 
-// WriteJSON marshals v with the given status code.
+// WriteJSON sends v as compact JSON, one line, with the given status
+// code.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone — nothing left to do
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone — nothing left to do
 }
 
 // WriteError sends the uniform error body.

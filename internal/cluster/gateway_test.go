@@ -387,6 +387,71 @@ func TestGatewayBatchStitch(t *testing.T) {
 	}
 }
 
+// TestGatewayReportFlag: the gateway's strict decoders accept a job's
+// "report": true on every job route, and a batch split across nodes
+// re-encodes it into every sub-batch.
+func TestGatewayReportFlag(t *testing.T) {
+	nodes := []*fakeNode{newFakeNode("n1"), newFakeNode("n2"), newFakeNode("n3")}
+	var mu sync.Mutex
+	var forwarded []api.Job
+	subBatches := 0
+	for _, n := range nodes {
+		defer n.srv.Close()
+		n.handler = func(w http.ResponseWriter, r *http.Request) bool {
+			if r.URL.Path != "/v1/batch" {
+				return false
+			}
+			var sub api.BatchRequest
+			if _, err := api.DecodeBody(r, &sub); err != nil {
+				t.Errorf("node refused a sub-batch: %v", err)
+			}
+			mu.Lock()
+			forwarded = append(forwarded, sub.Jobs...)
+			subBatches++
+			mu.Unlock()
+			results := strings.TrimSuffix(strings.Repeat(`{},`, len(sub.Jobs)), ",")
+			fmt.Fprintf(w, `{"results":[%s],"elapsedMicros":1}`, results)
+			return true
+		}
+	}
+	_, srv := newTestGateway(t, nodes...)
+
+	job := func(i int) string {
+		return fmt.Sprintf(`{"pattern":{"offsets":[%d,1]},"agu":{"registers":1,"modifyRange":1},"report":true}`, i)
+	}
+	jobs := make([]string, 9)
+	for i := range jobs {
+		jobs[i] = job(i)
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/allocate", job(0)},
+		{"/v1/jobs", job(0)},
+		{"/v1/jobs", `{"jobs":[` + job(0) + `,` + job(1) + `]}`},
+		{"/v1/batch", `{"jobs":[` + strings.Join(jobs, ",") + `]}`},
+	} {
+		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode >= 300 {
+			t.Errorf("%s %s: status %d body %s", tc.path, tc.body, resp.StatusCode, raw)
+		}
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if subBatches < 2 || len(forwarded) != len(jobs) {
+		t.Fatalf("batch reached the nodes as %d sub-batches of %d jobs in all; want a split of %d", subBatches, len(forwarded), len(jobs))
+	}
+	for i, j := range forwarded {
+		if !j.Report {
+			t.Errorf("forwarded job %d lost its report flag: %+v", i, j)
+		}
+	}
+}
+
 // TestGatewayStatsAggregation asserts /v1/stats sums the fleet and
 // nests each node's raw stats.
 func TestGatewayStatsAggregation(t *testing.T) {

@@ -763,12 +763,12 @@ func (m *Manager) abortQueued(rec *record, now time.Time, reason error) bool {
 		rec.mu.Unlock()
 		return false
 	}
+	m.canceled.Add(1) // counted before the state is observable, as in dispatch
 	rec.state = StateCanceled
 	rec.finished = now
 	rec.err = reason
 	rec.mu.Unlock()
 	m.depth.Add(-1)
-	m.canceled.Add(1)
 	m.store.finish(rec, now.Add(m.opts.TTL))
 	return true
 }
@@ -901,6 +901,19 @@ func (m *Manager) dispatch() {
 			m.walFinish(m.buildFinish(rec.id, state, finish, expire, err, out))
 		}
 
+		// The terminal counters rise before the state becomes
+		// observable, so a client that has polled a job to its end
+		// reads Metrics that already count it.
+		switch state {
+		case StateDone:
+			m.done.Add(1)
+		case StateTimeout:
+			m.timedOut.Add(1)
+		case StateCanceled:
+			m.canceled.Add(1)
+		default:
+			m.failed.Add(1)
+		}
 		rec.mu.Lock()
 		rec.finished = finish
 		rec.cancel = nil
@@ -914,16 +927,6 @@ func (m *Manager) dispatch() {
 
 		m.running.Add(-1)
 		m.runHist.Observe(finish.Sub(now))
-		switch state {
-		case StateDone:
-			m.done.Add(1)
-		case StateTimeout:
-			m.timedOut.Add(1)
-		case StateCanceled:
-			m.canceled.Add(1)
-		default:
-			m.failed.Add(1)
-		}
 		m.store.finish(rec, expire)
 	}
 }

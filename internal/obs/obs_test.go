@@ -16,7 +16,7 @@ func TestNilTraceIsFreeAndSafe(t *testing.T) {
 	}
 	sp := tr.StartSpan("x")
 	sp.Attr("n", 1).Note("ok")
-	sp.End()
+	sp.Restart().End()
 	tr.AddSpan("q", time.Now(), time.Now())
 	if tr.ID() != "" || tr.Elapsed() != 0 {
 		t.Fatal("nil trace accessors not zero")
@@ -82,6 +82,27 @@ func TestTraceSpanOverflowCounted(t *testing.T) {
 	}
 	if snap.DroppedSpans != 10 {
 		t.Fatalf("dropped %d, want 10", snap.DroppedSpans)
+	}
+}
+
+// TestTraceReservedSpanSurvivesOverflow: a slot reserved before the
+// trace fills keeps its span, timed from its Restart.
+func TestTraceReservedSpanSurvivesOverflow(t *testing.T) {
+	tr := NewTrace("t-reserve")
+	enc := tr.StartSpan("encode")
+	for i := 0; i < MaxSpans; i++ {
+		tr.StartSpan("s").End()
+	}
+	time.Sleep(time.Millisecond)
+	enc = enc.Restart()
+	enc.End()
+	snap := tr.Snapshot("r", 200, "", tr.Elapsed())
+	tr.Release()
+	if snap.DroppedSpans != 1 || snap.Spans[0].Name != "encode" {
+		t.Fatalf("dropped %d, first span %q; want 1 dropped and the reserved encode kept", snap.DroppedSpans, snap.Spans[0].Name)
+	}
+	if got, last := snap.Spans[0].StartMicros, snap.Spans[MaxSpans-1].StartMicros; got < last+900 {
+		t.Fatalf("restarted span starts at %dµs, want after the last filler (%dµs) plus ~1ms", got, last)
 	}
 }
 

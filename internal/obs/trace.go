@@ -171,6 +171,18 @@ func (h SpanHandle) Note(outcome string) SpanHandle {
 	return h
 }
 
+// Restart moves the span's start to now. A caller that must not lose
+// a span reserves its slot with StartSpan before work that may fill
+// the trace (a batch fan-out), then restarts it when its own phase
+// begins.
+func (h SpanHandle) Restart() SpanHandle {
+	if h.idx >= 0 {
+		h.t0 = time.Now()
+		h.tr.spans[h.idx].Start = h.t0.Sub(h.tr.start)
+	}
+	return h
+}
+
 // End stamps the span's duration.
 func (h SpanHandle) End() {
 	if h.idx >= 0 {
