@@ -1,7 +1,8 @@
 package dspaddr
 
-// One benchmark per experiment artifact (DESIGN.md per-experiment
-// index), plus micro-benchmarks of the allocator phases. Run with
+// One benchmark per experiment artifact (the experiment index in
+// cmd/rcabench's package doc), plus micro-benchmarks of the allocator
+// phases. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -360,7 +361,7 @@ func BenchmarkEngineBatch(b *testing.B) {
 // 64-pattern batch through the pool per iteration, everything after
 // the warmup answered from cache. This is the shape that serialized on
 // the old single cache mutex; it mirrors the engine/parallel baseline
-// scenario in BENCH_5.json.
+// scenario in BENCH_9.json.
 func BenchmarkEngineParallelWarm(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	jobs := make([]engine.Request, 64)

@@ -1,11 +1,16 @@
 // Machine-readable performance baseline (-exp bench): measures the
 // allocator hot paths with testing.Benchmark and emits a JSON document
-// (BENCH_5.json at the repo root is the committed baseline) so future
-// changes have a recorded trajectory to beat. With -bench-against the
-// fresh numbers are compared to a committed baseline and the run fails
-// when a gated scenario — the end-to-end cold batch or the warm
-// parallel engine path — regresses beyond the tolerance: the CI
-// regression gate.
+// (BENCH_9.json at the repo root is the committed baseline CI gates
+// against). With -bench-against the run fails when any of these holds:
+//   - one of the three gated rows — the cold batch, the warm parallel
+//     engine path or the traced batch — is more than 25% slower than
+//     the committed file (absolute, so it measures the machine too);
+//   - the traced batch costs more than 10% over the same run's
+//     untraced batch;
+//   - the untraced batch gains more than allocSlack allocs/op;
+//   - the WAL'd submit path adds more than 15% p99 over the same run's
+//     in-memory submit path;
+//   - the gateway hop adds more than 1ms p99 over a direct node hit.
 //
 // The bench mode is deliberately not part of "-exp all": it spends
 // several seconds of wall-clock measurement, which the paper tables do

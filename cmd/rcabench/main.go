@@ -1,6 +1,5 @@
 // Command rcabench regenerates the paper's evaluation artifacts and
-// the repository's ablation tables. Each experiment is named in
-// DESIGN.md's per-experiment index:
+// the repository's ablation tables. The experiment index:
 //
 //	e1  Figure 1 — distance graph of the example loop
 //	e2  Results ¶1 — random patterns, greedy vs naive merging (~40%)
@@ -17,13 +16,12 @@
 //
 //	bench  machine-readable hot-path baseline (see bench.go); with
 //	       -bench-out it writes BENCH_*.json, with -bench-against it
-//	       fails when a gated engine scenario regresses >25% against a
-//	       committed baseline
+//	       runs the CI gates against a committed baseline
 //
 // Usage:
 //
 //	rcabench -exp e2 -trials 100 -seed 1998
-//	rcabench -exp bench -bench-out BENCH_5.json -bench-against BENCH_5.json
+//	rcabench -exp bench -bench-out BENCH_9.fresh.json -bench-against BENCH_9.json
 package main
 
 import (

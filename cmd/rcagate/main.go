@@ -21,23 +21,7 @@
 //
 //	-addr string              listen address (default ":8090")
 //	-nodes string             fleet members as name=url pairs, comma separated (required)
-//	-vnodes int               virtual nodes per member on the ring (default 128)
 //	-probe-interval duration  health-check cadence (default 500ms)
-//	-probe-timeout duration   per-probe timeout (default 1s)
-//	-fail-threshold int       consecutive failures before mark-down (default 2)
-//	-forward-timeout duration per-hop forwarding timeout (default 30s)
-//	-breaker-disable          turn per-node circuit breakers off
-//	-breaker-window int       breaker rolling outcome window per node (default 32)
-//	-breaker-min-samples int  minimum outcomes before a breaker may trip (default 8)
-//	-breaker-error-rate float window failure fraction that trips a breaker (default 0.5)
-//	-breaker-latency-quantile float  window latency quantile the slow trip
-//	                          evaluates (default 0.9)
-//	-breaker-latency-threshold duration  latency at the quantile that trips a
-//	                          breaker (default 250ms; negative disables the slow trip)
-//	-breaker-open-for duration  open-state hold before half-opening (default 2s)
-//	-breaker-half-open-every duration  half-open trickle interval (default 250ms)
-//	-breaker-close-after int  consecutive fast successes that close a
-//	                          half-open breaker (default 3)
 //	-log-format string        structured log encoding: text or json (default "text")
 //	-version                  print the build version and exit
 //
@@ -88,20 +72,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("rcagate", flag.ContinueOnError)
 	addr := fs.String("addr", ":8090", "listen address")
 	nodes := fs.String("nodes", "", "fleet members as name=url pairs, comma separated (names must match the nodes' -node-id)")
-	vnodes := fs.Int("vnodes", 0, "virtual nodes per member on the hash ring (0 = 128 default)")
 	probeInterval := fs.Duration("probe-interval", 0, "health-check cadence (0 = 500ms default)")
-	probeTimeout := fs.Duration("probe-timeout", 0, "per-probe timeout (0 = 1s default)")
-	failThreshold := fs.Int("fail-threshold", 0, "consecutive failures before a node is marked down (0 = 2 default)")
-	forwardTimeout := fs.Duration("forward-timeout", 0, "per-hop forwarding timeout (0 = 30s default)")
-	breakerDisable := fs.Bool("breaker-disable", false, "turn per-node circuit breakers off")
-	breakerWindow := fs.Int("breaker-window", 0, "breaker rolling outcome window per node (0 = 32 default)")
-	breakerMinSamples := fs.Int("breaker-min-samples", 0, "minimum outcomes in the window before a breaker may trip (0 = 8 default)")
-	breakerErrRate := fs.Float64("breaker-error-rate", 0, "window failure fraction that trips a breaker (0 = 0.5 default)")
-	breakerLatencyQuantile := fs.Float64("breaker-latency-quantile", 0, "window latency quantile the slow trip evaluates (0 = 0.9 default)")
-	breakerLatencyThreshold := fs.Duration("breaker-latency-threshold", 0, "latency at the quantile that trips a breaker (0 = 250ms default, negative disables the slow trip)")
-	breakerOpenFor := fs.Duration("breaker-open-for", 0, "how long an open breaker refuses before half-opening (0 = 2s default)")
-	breakerHalfOpenEvery := fs.Duration("breaker-half-open-every", 0, "half-open trickle: at most one admission per interval (0 = 250ms default)")
-	breakerCloseAfter := fs.Int("breaker-close-after", 0, "consecutive fast successes that close a half-open breaker (0 = 3 default)")
 	logFormat := fs.String("log-format", "text", "structured log encoding: text or json")
 	version := fs.Bool("version", false, "print the build version and exit")
 	if err := fs.Parse(args); err != nil {
@@ -121,31 +92,14 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("%w (set -nodes)", err)
 	}
-	fleet, err := cluster.NewFleet(members, cluster.FleetOptions{
-		VirtualNodes:  *vnodes,
-		ProbeInterval: *probeInterval,
-		ProbeTimeout:  *probeTimeout,
-		FailThreshold: *failThreshold,
-		Breaker: cluster.BreakerOptions{
-			Disabled:         *breakerDisable,
-			Window:           *breakerWindow,
-			MinSamples:       *breakerMinSamples,
-			ErrRate:          *breakerErrRate,
-			LatencyQuantile:  *breakerLatencyQuantile,
-			LatencyThreshold: *breakerLatencyThreshold,
-			OpenFor:          *breakerOpenFor,
-			HalfOpenEvery:    *breakerHalfOpenEvery,
-			CloseAfter:       *breakerCloseAfter,
-		},
-	})
+	fleet, err := cluster.NewFleet(members, cluster.FleetOptions{ProbeInterval: *probeInterval})
 	if err != nil {
 		return err
 	}
 	gw, err := cluster.New(cluster.Options{
-		Fleet:          fleet,
-		Version:        buildVersion(),
-		ForwardTimeout: *forwardTimeout,
-		Logger:         logger,
+		Fleet:   fleet,
+		Version: buildVersion(),
+		Logger:  logger,
 	})
 	if err != nil {
 		return err

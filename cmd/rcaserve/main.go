@@ -34,11 +34,8 @@
 // Flags:
 //
 //	-addr string        listen address (default ":8080")
-//	-workers int        solver worker pool size (default max(8, NumCPU))
 //	-timeout duration   per-job solve deadline (default 5s, 0 disables)
-//	-cache int          result cache entries (default 4096, negative disables)
 //	-queue int          async job queue capacity (default 1024)
-//	-store int          async results retained before eviction (default 16384)
 //	-ttl duration       async result retention after completion (default 15m)
 //	-node-id string     cluster node identity: tags async job IDs so the
 //	                    rcagate gateway can route GET/DELETE /v1/jobs/{id}
@@ -48,13 +45,6 @@
 //	                    replayed: finished jobs restore their results,
 //	                    unfinished ones re-enter the queue)
 //	-wal-fsync string   WAL fsync policy: always, interval or off (default "interval")
-//	-wal-fsync-interval duration  background fsync cadence under interval (default 100ms)
-//	-wal-segment-bytes int        WAL segment rotation threshold (default 4MiB)
-//	-shed-target duration  adaptive load-shedding queue-wait target: while
-//	                    the minimum queue wait over a full window stays
-//	                    above it, sync paths reject with 503 + Retry-After
-//	                    (default 50ms; negative disables)
-//	-shed-window duration  load-shedding evaluation window (default 100ms)
 //	-log-format string  structured log encoding: text or json (default "text")
 //	-trace-min duration slow-trace capture threshold for /debug/requests
 //	                    (default 10ms; negative captures every request)
@@ -114,22 +104,15 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("rcaserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	workers := fs.Int("workers", 0, "solver worker pool size (0 = max(8, NumCPU))")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-job solve deadline (0 disables)")
-	cacheSize := fs.Int("cache", 0, "result cache entries (0 = default 4096, negative disables)")
 	queueCap := fs.Int("queue", jobs.DefaultQueueCapacity, "async job queue capacity")
-	storeCap := fs.Int("store", jobs.DefaultStoreCapacity, "async results retained before eviction")
 	ttl := fs.Duration("ttl", jobs.DefaultTTL, "async result retention after completion")
 	walDir := fs.String("wal-dir", "", "write-ahead log directory for durable async jobs (empty = durability off)")
 	walFsync := fs.String("wal-fsync", "interval", "WAL fsync policy: always, interval or off")
-	walFsyncInterval := fs.Duration("wal-fsync-interval", 0, "background fsync cadence under -wal-fsync interval (0 = 100ms default)")
-	walSegmentBytes := fs.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = 4MiB default)")
 	nodeID := fs.String("node-id", "", "cluster node identity: tags async job IDs so a gateway can route them back (alphanumeric, max 32 chars; empty = single-node)")
 	logFormat := fs.String("log-format", "text", "structured log encoding: text or json")
 	traceMin := fs.Duration("trace-min", 0, "slow-trace capture threshold for /debug/requests (0 = 10ms default, negative captures everything)")
 	debugAddr := fs.String("debug-addr", "", "optional second listener exposing net/http/pprof and /debug/runtime (bind loopback only)")
-	shedTarget := fs.Duration("shed-target", 0, "adaptive load-shedding queue-wait target (0 = 50ms default, negative disables shedding)")
-	shedWindow := fs.Duration("shed-window", 0, "adaptive load-shedding evaluation window (0 = 100ms default)")
 	faultSpec := fs.String("faults", "", "arm chaos fault injection and /debug/soak (e.g. \"delay=20ms:4,error=128\"; \"none\" = endpoint only); soak builds only")
 	version := fs.Bool("version", false, "print the build version and exit")
 	if err := fs.Parse(args); err != nil {
@@ -163,11 +146,7 @@ func run(args []string) error {
 	ob := newObservability(logger, *traceMin, 0)
 
 	eng := engine.New(engine.Options{
-		Workers:    *workers,
 		JobTimeout: *timeout,
-		CacheSize:  *cacheSize,
-		ShedTarget: *shedTarget,
-		ShedWindow: *shedWindow,
 		Faults:     injector,
 	})
 	defer eng.Close()
@@ -183,14 +162,12 @@ func run(args []string) error {
 		}
 		var rep *wal.Replay
 		walLog, rep, err = wal.Open(*walDir, wal.Options{
-			SegmentBytes:  *walSegmentBytes,
-			Fsync:         policy,
-			FsyncInterval: *walFsyncInterval,
-			Retention:     *ttl,
-			Faults:        injector,
-			AppendHist:    ob.walAppendHist,
-			FsyncHist:     ob.walFsyncHist,
-			ReplayHist:    ob.walReplayHist,
+			Fsync:      policy,
+			Retention:  *ttl,
+			Faults:     injector,
+			AppendHist: ob.walAppendHist,
+			FsyncHist:  ob.walFsyncHist,
+			ReplayHist: ob.walReplayHist,
 		})
 		if err != nil {
 			return fmt.Errorf("wal: open %s: %w", *walDir, err)
@@ -210,7 +187,6 @@ func run(args []string) error {
 
 	s := newServer(eng, serverOptions{
 		queueCapacity: *queueCap,
-		storeCapacity: *storeCap,
 		ttl:           *ttl,
 		version:       buildVersion(),
 		nodeID:        *nodeID,

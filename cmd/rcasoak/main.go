@@ -26,15 +26,15 @@
 //	-scenario string     "mixed", "crash", "cluster" or "grayfail" (builtin,
 //	                     scaled to -duration) or a scenario file path
 //	-report string       JSON report path (default "soak-report.json")
-//	-server-bin string   prebuilt rcaserve binary (default: go build it)
 //	-wal-dir string      server WAL directory: durability on, loss never excused (default off)
-//	-faults string       base fault spec armed at server start (default "delay=20ms:4,error=128")
-//	-queue int           server async queue capacity (default 128; small → real 429 waves)
-//	-timeout duration    server per-job solve deadline (default 2s)
 //	-grace duration      post-phase polling grace for async jobs (default 10s)
-//	-p99 duration        per-class p99 HTTP round-trip ceiling (default 5s)
-//	-rss int             server peak RSS ceiling in MiB (default 512)
-//	-keep                keep the work directory (server logs) even on success
+//	-race                build the servers with the race detector
+//
+// Every server starts with -faults "delay=20ms:4,error=128", -queue 128
+// (small, so the overload wave meets real 429s) and -timeout 2s. The
+// oracle's ceilings are a 5s per-class p99 round trip and 512 MiB peak
+// RSS per process. The work directory (server logs) is kept only when
+// the run fails.
 //
 // Example:
 //
@@ -72,17 +72,10 @@ func realMain(args []string) int {
 	seed := fs.Int64("seed", 1, "base traffic seed")
 	scenarioFlag := fs.String("scenario", "mixed", `"mixed", "crash", "cluster", "grayfail" or a scenario file path`)
 	reportPath := fs.String("report", "soak-report.json", "JSON report path")
-	serverBin := fs.String("server-bin", "", "prebuilt rcaserve binary (default: go build)")
 	walDir := fs.String("wal-dir", "",
 		"server WAL directory (durability on; the oracle then excuses no lost jobs; removed on a clean pass unless it pre-existed)")
-	faultsSpec := fs.String("faults", "delay=20ms:4,error=128", "base fault spec for the server")
-	queueCap := fs.Int("queue", 128, "server async queue capacity")
-	solveTimeout := fs.Duration("timeout", 2*time.Second, "server per-job solve deadline")
 	grace := fs.Duration("grace", 10*time.Second, "post-phase async polling grace")
-	p99Ceiling := fs.Duration("p99", 5*time.Second, "p99 round-trip ceiling per class")
-	rssCeilingMiB := fs.Int64("rss", 512, "server peak RSS ceiling (MiB)")
 	race := fs.Bool("race", false, "build the server with the race detector")
-	keep := fs.Bool("keep", false, "keep the work directory on success")
 
 	// -driver mode flags (internal; the parent passes them).
 	driverMode := fs.Bool("driver", false, "run as a client driver (internal)")
@@ -123,23 +116,18 @@ func realMain(args []string) int {
 	}
 
 	h := &harness{
-		clients:    *clients,
-		seed:       *seed,
-		baseFaults: *faultsSpec,
-		queueCap:   *queueCap,
-		timeout:    *solveTimeout,
-		grace:      *grace,
-		keep:       *keep,
-		bin:        *serverBin,
-		race:       *race,
-		walDir:     *walDir,
+		clients: *clients,
+		seed:    *seed,
+		grace:   *grace,
+		race:    *race,
+		walDir:  *walDir,
 	}
 	sc, err := loadScenario(*scenarioFlag, *duration)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rcasoak:", err)
 		return 2
 	}
-	rep, err := h.run(sc, *p99Ceiling, *rssCeilingMiB<<20)
+	rep, err := h.run(sc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rcasoak:", err)
 		return 2
@@ -173,16 +161,29 @@ func loadScenario(name string, total time.Duration) (*scenario, error) {
 	return parseScenario(filepath.Base(name), string(text))
 }
 
+// The settings every run uses: the servers' flags and the oracle's
+// ceilings.
+const (
+	// baseFaults is the fault spec armed at every server start; its
+	// solve delays are what the slow-trace check expects to see.
+	baseFaults = "delay=20ms:4,error=128"
+	// serverQueue is the async queue capacity: small, so the overload
+	// wave meets real 429s.
+	serverQueue = 128
+	// serverTimeout is the per-job solve deadline.
+	serverTimeout = 2 * time.Second
+	// p99Ceiling bounds each op class's p99 HTTP round trip.
+	p99Ceiling = 5 * time.Second
+	// rssCeiling bounds every process's peak RSS.
+	rssCeiling = 512 << 20
+)
+
 // harness owns the server process and the run-wide observations.
 type harness struct {
-	clients    int
-	seed       int64
-	baseFaults string
-	queueCap   int
-	timeout    time.Duration
-	grace      time.Duration
-	keep       bool
-	race       bool
+	clients int
+	seed    int64
+	grace   time.Duration
+	race    bool
 	// walDir, when set, is passed to every server start as -wal-dir
 	// (fsync=interval); it persists across restarts AND kills — replay
 	// continuity is the whole point.
@@ -226,7 +227,7 @@ type serverProc struct {
 }
 
 // run executes the scenario end to end and returns the oracle report.
-func (h *harness) run(sc *scenario, p99Ceiling time.Duration, rssCeiling int64) (rep *soakReport, err error) {
+func (h *harness) run(sc *scenario) (rep *soakReport, err error) {
 	start := time.Now()
 	h.client = &http.Client{Timeout: 5 * time.Second}
 
@@ -243,7 +244,7 @@ func (h *harness) run(sc *scenario, p99Ceiling time.Duration, rssCeiling int64) 
 		}
 	}
 	defer func() {
-		if err == nil && rep != nil && rep.Passed && !h.keep {
+		if err == nil && rep != nil && rep.Passed {
 			os.RemoveAll(h.workDir)
 			// The WAL dir is evidence on failure (CI uploads it); on a
 			// clean pass remove it if this run created it.
@@ -259,11 +260,11 @@ func (h *harness) run(sc *scenario, p99Ceiling time.Duration, rssCeiling int64) 
 	}()
 
 	h.cluster = sc.Cluster
-	if err := h.buildServer(); err != nil {
+	if h.bin, err = h.build("rcaserve"); err != nil {
 		return nil, err
 	}
 	if h.cluster > 0 {
-		if err := h.buildGateway(); err != nil {
+		if h.gateBin, err = h.build("rcagate"); err != nil {
 			return nil, err
 		}
 		if err := h.startCluster(); err != nil {
@@ -368,7 +369,7 @@ func (h *harness) run(sc *scenario, p99Ceiling time.Duration, rssCeiling int64) 
 		metricsFetched:     metricsOK,
 		slowTraces:         slowTraces,
 		slowTracesFetched:  slowOK,
-		delayFaultsArmed:   scenarioArmsDelay(h.baseFaults, sc),
+		delayFaultsArmed:   true, // baseFaults arms solve delays
 	}
 	if statsOK {
 		in.statsSubmitted = stats.AsyncJobs.Submitted
@@ -380,47 +381,18 @@ func (h *harness) run(sc *scenario, p99Ceiling time.Duration, rssCeiling int64) 
 	return runOracle(in), nil
 }
 
-// buildServer compiles cmd/rcaserve unless a prebuilt binary was given.
-func (h *harness) buildServer() error {
-	if h.bin != "" {
-		return nil
-	}
-	if prebuilt := os.Getenv("RCASOAK_SERVER_BIN"); prebuilt != "" {
-		h.bin = prebuilt
-		return nil
-	}
-	h.bin = filepath.Join(h.workDir, "rcaserve")
-	buildArgs := []string{"build"}
+// build compiles dspaddr/cmd/<name> into the work directory.
+func (h *harness) build(name string) (string, error) {
+	bin := filepath.Join(h.workDir, name)
+	args := []string{"build"}
 	if h.race {
-		buildArgs = append(buildArgs, "-race")
+		args = append(args, "-race")
 	}
-	buildArgs = append(buildArgs, "-o", h.bin, "dspaddr/cmd/rcaserve")
-	cmd := exec.Command("go", buildArgs...)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		return fmt.Errorf("building rcaserve: %v\n%s", err, out)
+	args = append(args, "-o", bin, "dspaddr/cmd/"+name)
+	if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+		return "", fmt.Errorf("building %s: %v\n%s", name, err, out)
 	}
-	return nil
-}
-
-// buildGateway compiles cmd/rcagate for cluster scenarios.
-func (h *harness) buildGateway() error {
-	if prebuilt := os.Getenv("RCASOAK_GATEWAY_BIN"); prebuilt != "" {
-		h.gateBin = prebuilt
-		return nil
-	}
-	h.gateBin = filepath.Join(h.workDir, "rcagate")
-	buildArgs := []string{"build"}
-	if h.race {
-		buildArgs = append(buildArgs, "-race")
-	}
-	buildArgs = append(buildArgs, "-o", h.gateBin, "dspaddr/cmd/rcagate")
-	cmd := exec.Command("go", buildArgs...)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		return fmt.Errorf("building rcagate: %v\n%s", err, out)
-	}
-	return nil
+	return bin, nil
 }
 
 // pickPort grabs a free localhost port.
@@ -491,9 +463,9 @@ func (h *harness) awaitHealthy(p *serverProc, base, logPath string) error {
 func (h *harness) serverArgs(port int, nodeID string) []string {
 	args := []string{
 		"-addr", fmt.Sprintf("127.0.0.1:%d", port),
-		"-faults", h.baseFaults,
-		"-queue", strconv.Itoa(h.queueCap),
-		"-timeout", h.timeout.String(),
+		"-faults", baseFaults,
+		"-queue", strconv.Itoa(serverQueue),
+		"-timeout", serverTimeout.String(),
 		"-ttl", "2m",
 	}
 	if nodeID != "" {
@@ -606,11 +578,11 @@ func (h *harness) graySlowNode(d time.Duration) error {
 	}
 	name := fmt.Sprintf("n%d", idx+1)
 	start := time.Now()
-	if err := h.rearmAt(h.nodeBases[idx], composeFaults(h.baseFaults, graySlowSpec)); err != nil {
+	if err := h.rearmAt(h.nodeBases[idx], baseFaults+","+graySlowSpec); err != nil {
 		return fmt.Errorf("arming gray-slow fault on %s: %w", name, err)
 	}
 	time.Sleep(d)
-	if err := h.rearmAt(h.nodeBases[idx], h.baseFaults); err != nil {
+	if err := h.rearmAt(h.nodeBases[idx], baseFaults); err != nil {
 		return fmt.Errorf("clearing gray-slow fault on %s: %w", name, err)
 	}
 	h.mu.Lock()
@@ -620,15 +592,6 @@ func (h *harness) graySlowNode(d time.Duration) error {
 	})
 	h.mu.Unlock()
 	return nil
-}
-
-// composeFaults appends an extra clause to a base spec, treating
-// ""/"none" as empty.
-func composeFaults(base, extra string) string {
-	if base == "" || base == "none" {
-		return extra
-	}
-	return base + "," + extra
 }
 
 // killNodeMid SIGKILLs the highest-indexed live node and leaves it
@@ -968,20 +931,6 @@ func (h *harness) scrapeGatewayBreakers() (transitions, states map[string]float6
 	return transitions, states, true
 }
 
-// scenarioArmsDelay reports whether any fault spec in play injects
-// solve delays — the precondition for expecting slow traces.
-func scenarioArmsDelay(baseFaults string, sc *scenario) bool {
-	if strings.Contains(baseFaults, "delay=") {
-		return true
-	}
-	for _, st := range sc.Steps {
-		if st.Phase != nil && strings.Contains(st.Phase.Faults, "delay=") {
-			return true
-		}
-	}
-	return false
-}
-
 // rearm POSTs a new fault spec to /debug/soak — on every surviving
 // node in cluster mode, since faults are per-process state.
 func (h *harness) rearm(spec string) error {
@@ -1073,7 +1022,7 @@ func (h *harness) runPhase(p *phaseSpec, phaseIdx int) error {
 			return err
 		}
 		defer func() {
-			if err := h.rearm(h.baseFaults); err != nil {
+			if err := h.rearm(baseFaults); err != nil {
 				fmt.Fprintf(os.Stderr, "rcasoak: restoring base faults: %v\n", err)
 			}
 		}()

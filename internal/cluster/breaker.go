@@ -68,9 +68,6 @@ const (
 
 // BreakerOptions tunes the per-node circuit breakers.
 type BreakerOptions struct {
-	// Disabled turns the breakers off entirely: every Allow admits,
-	// nothing ever trips.
-	Disabled bool
 	// Window is the rolling outcome-ring size per node (0 = 32).
 	Window int
 	// MinSamples gates tripping: fewer outcomes in the window than
@@ -178,7 +175,7 @@ func (b *breaker) transition(to BreakerState) {
 // (then flips to half-open); half-open admits the trickle — at most
 // one request per HalfOpenEvery.
 func (b *breaker) allow(now time.Time) bool {
-	if b == nil || b.opts.Disabled {
+	if b == nil {
 		return true
 	}
 	b.mu.Lock()
@@ -209,7 +206,7 @@ func (b *breaker) allow(now time.Time) bool {
 // close/reopen decision; open it is a stale in-flight straggler and
 // is dropped.
 func (b *breaker) record(ok bool, dur time.Duration, now time.Time) {
-	if b == nil || b.opts.Disabled {
+	if b == nil {
 		return
 	}
 	b.mu.Lock()

@@ -89,8 +89,6 @@ func (m *Member) BreakerWindow() (samples, failed int) {
 
 // FleetOptions configures membership and health checking.
 type FleetOptions struct {
-	// VirtualNodes per member on the ring (0 = DefaultVirtualNodes).
-	VirtualNodes int
 	// ProbeInterval is the health-check cadence (0 = 500ms).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one /healthz probe (0 = 1s).
@@ -106,7 +104,7 @@ type FleetOptions struct {
 	// its metrics.
 	OnTransition func(m *Member, up bool)
 	// Breaker tunes the per-member circuit breakers (zero values =
-	// defaults; set Breaker.Disabled to turn them off).
+	// defaults).
 	Breaker BreakerOptions
 	// OnBreakerTransition, when non-nil, is called on every breaker
 	// state change (concurrently, possibly under the breaker's lock;
@@ -174,7 +172,7 @@ func NewFleet(members []Member, opts FleetOptions) (*Fleet, error) {
 	for i := range members {
 		names[i] = members[i].Name
 	}
-	ring, err := NewRing(names, opts.VirtualNodes)
+	ring, err := NewRing(names, DefaultVirtualNodes)
 	if err != nil {
 		return nil, err
 	}

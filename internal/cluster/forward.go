@@ -37,10 +37,10 @@ import (
 
 // Forwarding defaults.
 const (
-	// DefaultForwardTimeout bounds one forwarded exchange; generous
-	// because a node-side solve may legitimately run to the node's own
-	// per-job deadline (5s default) and batches run many.
-	DefaultForwardTimeout = 30 * time.Second
+	// forwardTimeout bounds one forwarded exchange; generous because
+	// a node-side solve may legitimately run to the node's own per-job
+	// deadline (5s default) and batches run many.
+	forwardTimeout = 30 * time.Second
 	// maxIdlePerNode and maxConnsPerNode bound each node's connection
 	// pool: enough parallelism for a busy gateway, a hard cap so one
 	// slow node cannot accumulate unbounded sockets.
@@ -76,9 +76,8 @@ type nodeResponse struct {
 
 // forwarder issues node requests over the shared pooled transport.
 type forwarder struct {
-	fleet   *Fleet
-	client  *http.Client
-	timeout time.Duration
+	fleet  *Fleet
+	client *http.Client
 
 	// onForward reports every attempt for metrics: the member, the
 	// status (0 on transport error), elapsed time and whether this
@@ -88,10 +87,7 @@ type forwarder struct {
 }
 
 // newForwarder builds the client around the fleet.
-func newForwarder(fleet *Fleet, timeout time.Duration, onForward func(*Member, int, time.Duration, bool)) *forwarder {
-	if timeout <= 0 {
-		timeout = DefaultForwardTimeout
-	}
+func newForwarder(fleet *Fleet, onForward func(*Member, int, time.Duration, bool)) *forwarder {
 	return &forwarder{
 		fleet: fleet,
 		client: &http.Client{
@@ -101,7 +97,6 @@ func newForwarder(fleet *Fleet, timeout time.Duration, onForward func(*Member, i
 				IdleConnTimeout:     90 * time.Second,
 			},
 		},
-		timeout:   timeout,
 		onForward: onForward,
 	}
 }
@@ -126,7 +121,7 @@ func (fw *forwarder) close() {
 // as failures and everything else, with its latency, as signal.
 func (fw *forwarder) do(ctx context.Context, m *Member, method, pathAndQuery string, body []byte, hdr http.Header, retry bool) (*nodeResponse, error) {
 	origin := ctx
-	ctx, cancel := context.WithTimeout(ctx, fw.timeout)
+	ctx, cancel := context.WithTimeout(ctx, forwardTimeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {

@@ -65,8 +65,6 @@ type Options struct {
 	Fleet *Fleet
 	// Version is the build identity for /healthz and /v1/stats.
 	Version string
-	// ForwardTimeout bounds one forwarded exchange (0 = 30s).
-	ForwardTimeout time.Duration
 	// Logger receives forward failures and node transitions; nil
 	// discards.
 	Logger *slog.Logger
@@ -152,7 +150,7 @@ func New(opts Options) (*Gateway, error) {
 		g.nodeUp.Set(1, m.Name)
 		g.breakerState.Set(int64(BreakerClosed), m.Name)
 	}
-	g.fwd = newForwarder(g.fleet, opts.ForwardTimeout,
+	g.fwd = newForwarder(g.fleet,
 		func(m *Member, status int, dur time.Duration, retry bool) {
 			g.fwdReqs.Add(1, m.Name, strconv.Itoa(status))
 			g.fwdHist.Observe(dur, m.Name)

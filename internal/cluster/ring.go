@@ -19,8 +19,8 @@ import (
 	"sort"
 )
 
-// DefaultVirtualNodes is the vnode count per member when
-// FleetOptions.VirtualNodes is zero. 128 points per node keeps the
+// DefaultVirtualNodes is the vnode count per fleet member, and
+// NewRing's when vnodes <= 0. 128 points per node keeps the
 // load skew across members within ~15% (asserted by the seeded
 // distribution test) while the full ring stays small enough to walk.
 const DefaultVirtualNodes = 128

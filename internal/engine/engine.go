@@ -134,8 +134,7 @@ type Options struct {
 	// ShedTarget is the CoDel-style queue-wait target for adaptive
 	// load shedding: when the MINIMUM queue wait over a ShedWindow
 	// stays above it, Overloaded() reports true and the server sheds
-	// its synchronous solve paths. 0 = DefaultShedTarget; negative
-	// disables shedding.
+	// its synchronous solve paths (0 = DefaultShedTarget).
 	ShedTarget time.Duration
 	// ShedWindow is the controller's evaluation interval (0 =
 	// DefaultShedWindow).
@@ -189,8 +188,7 @@ type Engine struct {
 	wg    sync.WaitGroup
 	cache *resultCache
 	stats collector
-	// shed is the adaptive load-shedding controller; nil when
-	// disabled (every method is nil-safe).
+	// shed is the adaptive load-shedding controller.
 	shed *shedController
 
 	// solve and solveLoop are the job executors, replaceable in tests
@@ -302,9 +300,7 @@ func (e *Engine) Stats() Stats {
 	s.CacheCapacity = e.cache.cap()
 	s.CacheShards = e.cache.shardsN()
 	s.Shedding = e.Overloaded()
-	if e.shed != nil {
-		s.ShedFlips = e.shed.flips.Load()
-	}
+	s.ShedFlips = e.shed.flips.Load()
 	return s
 }
 
@@ -352,7 +348,7 @@ func (e *Engine) runTask(solver *core.Solver, t task, tick uint) {
 			now := time.Now()
 			e.shed.observe(now.Sub(t.enqueued), now)
 			tr.AddSpan("engine.queue", t.enqueued, now)
-		} else if e.shed != nil && tick&shedSampleMask == 0 {
+		} else if tick&shedSampleMask == 0 {
 			now := time.Now()
 			e.shed.observe(now.Sub(t.enqueued), now)
 		}

@@ -49,13 +49,10 @@ type shedController struct {
 	flips       atomic.Uint64 // verdict transitions, both directions
 }
 
-// newShedController returns nil when disabled (target < 0) — every
-// method is nil-safe, so the disabled path costs one pointer compare.
+// newShedController fills zero (or negative) settings with the
+// defaults.
 func newShedController(target, window time.Duration, now time.Time) *shedController {
-	if target < 0 {
-		return nil
-	}
-	if target == 0 {
+	if target <= 0 {
 		target = DefaultShedTarget
 	}
 	if window <= 0 {
@@ -73,9 +70,6 @@ func newShedController(target, window time.Duration, now time.Time) *shedControl
 // either side of the roll perturb one window's minimum, which the
 // controller tolerates by construction (it is an estimator).
 func (s *shedController) observe(sojourn time.Duration, now time.Time) {
-	if s == nil {
-		return
-	}
 	ns := now.UnixNano()
 	// Coarse staleness stamp: the horizon is shedStaleAfter (1s), so
 	// refreshing once per millisecond is plenty — and it keeps the
@@ -106,7 +100,7 @@ func (s *shedController) observe(sojourn time.Duration, now time.Time) {
 
 // overloaded reports the current verdict, expiring it when stale.
 func (s *shedController) overloaded(now time.Time) bool {
-	if s == nil || !s.shedding.Load() {
+	if !s.shedding.Load() {
 		return false
 	}
 	if now.UnixNano()-s.lastObserve.Load() > int64(shedStaleAfter) {

@@ -69,14 +69,18 @@ func TestShedVerdictExpiresWhenStale(t *testing.T) {
 	}
 }
 
-func TestShedDisabledAndNil(t *testing.T) {
-	if s := newShedController(-1, 0, time.Now()); s != nil {
-		t.Fatal("negative target should disable the controller")
-	}
-	var s *shedController
-	s.observe(time.Hour, time.Now()) // must not panic
-	if s.overloaded(time.Now()) {
-		t.Fatal("nil controller reported overload")
+// TestShedNonPositiveSettingsTakeDefaults: there is no off switch —
+// a zero or negative target or window selects the defaults.
+func TestShedNonPositiveSettingsTakeDefaults(t *testing.T) {
+	for _, d := range []time.Duration{0, -1} {
+		s := newShedController(d, d, time.Now())
+		if s == nil {
+			t.Fatalf("settings %v disabled the controller", d)
+		}
+		if s.target != DefaultShedTarget || s.window != DefaultShedWindow {
+			t.Errorf("settings %v: target %v window %v, want %v and %v",
+				d, s.target, s.window, DefaultShedTarget, DefaultShedWindow)
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation, plus the ablations DESIGN.md lists. Each
-// experiment returns printable tables (internal/stats) so the CLI, the
-// benchmarks and EXPERIMENTS.md all share one source of truth.
+// paper's evaluation, plus the ablations listed in cmd/rcabench's
+// experiment index. Each experiment returns printable tables
+// (internal/stats) so the CLI and the benchmarks share one source of
+// truth.
 package experiments
 
 import (
