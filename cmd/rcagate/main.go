@@ -52,6 +52,7 @@ import (
 	"syscall"
 	"time"
 
+	"dspaddr/internal/api"
 	"dspaddr/internal/cluster"
 )
 
@@ -79,7 +80,7 @@ func run(args []string) error {
 		return err
 	}
 	if *version {
-		fmt.Println("rcagate", buildVersion())
+		fmt.Println("rcagate", api.BuildVersion())
 		return nil
 	}
 
@@ -98,7 +99,7 @@ func run(args []string) error {
 	}
 	gw, err := cluster.New(cluster.Options{
 		Fleet:   fleet,
-		Version: buildVersion(),
+		Version: api.BuildVersion(),
 		Logger:  logger,
 	})
 	if err != nil {
@@ -122,7 +123,7 @@ func run(args []string) error {
 			names[i] = members[i].Name
 		}
 		logger.Info("gateway listening",
-			"version", buildVersion(), "addr", *addr,
+			"version", api.BuildVersion(), "addr", *addr,
 			"nodes", names, "ringPoints", fleet.Ring().Size())
 		errc <- srv.ListenAndServe()
 	}()

@@ -381,7 +381,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, name := range []string{
 		"rcaserve_engine_cache_hits_total", "rcaserve_engine_cache_misses_total",
-		"rcaserve_engine_deduped_total", "rcaserve_engine_cache_entries",
+		"rcaserve_engine_canceled_total", "rcaserve_engine_cache_entries",
 		"rcaserve_engine_cache_capacity", "rcaserve_engine_cache_shards",
 		"rcaserve_engine_solve_duration_seconds_count", "rcaserve_job_run_duration_seconds_sum",
 		"rcaserve_store_evictions_total", "rcaserve_jobs_rejected_total",

@@ -119,7 +119,7 @@ func run(args []string) error {
 		return err
 	}
 	if *version {
-		fmt.Println("rcaserve", buildVersion())
+		fmt.Println("rcaserve", api.BuildVersion())
 		return nil
 	}
 
@@ -188,7 +188,7 @@ func run(args []string) error {
 	s := newServer(eng, serverOptions{
 		queueCapacity: *queueCap,
 		ttl:           *ttl,
-		version:       buildVersion(),
+		version:       api.BuildVersion(),
 		nodeID:        *nodeID,
 		faults:        injector,
 		obs:           ob,
@@ -213,7 +213,7 @@ func run(args []string) error {
 	errc := make(chan error, 1)
 	go func() {
 		logger.Info("listening",
-			"version", buildVersion(), "addr", *addr,
+			"version", api.BuildVersion(), "addr", *addr,
 			"workers", eng.Stats().Workers, "timeout", *timeout,
 			"queue", *queueCap, "ttl", *ttl)
 		errc <- srv.ListenAndServe()

@@ -390,16 +390,12 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestVersionSurfaced checks the build identity reaches /v1/stats
-// and that buildVersion always produces something.
+// TestVersionSurfaced checks the build identity reaches /v1/stats.
 func TestVersionSurfaced(t *testing.T) {
 	ts := newTestServer(t, engine.Options{Workers: 1})
 	stats := getStats(t, ts)
 	if stats.Version != "test" {
 		t.Fatalf("stats version %q", stats.Version)
-	}
-	if v := buildVersion(); v == "" {
-		t.Fatal("buildVersion returned empty")
 	}
 }
 

@@ -89,7 +89,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("rcaserve_engine_jobs_total", "Engine jobs completed, any outcome.", float64(es.Jobs))
 	counter("rcaserve_engine_cache_hits_total", "Engine jobs answered from the canonical-pattern cache.", float64(es.CacheHits))
 	counter("rcaserve_engine_cache_misses_total", "Engine jobs that ran the solver.", float64(es.CacheMisses))
-	counter("rcaserve_engine_deduped_total", "Engine jobs that missed the cache but shared a concurrent identical solve (single-flight).", float64(es.Deduped))
 	counter("rcaserve_engine_errors_total", "Engine jobs failed by the allocator or a bad request.", float64(es.Errors))
 	counter("rcaserve_engine_timeouts_total", "Engine jobs abandoned past the per-job deadline.", float64(es.Timeouts))
 	counter("rcaserve_engine_canceled_total", "Engine jobs whose submitting context was canceled.", float64(es.Canceled))
@@ -105,7 +104,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("rcaserve_shedding", "Adaptive load-shedding verdict: 1 while the sync paths reject with 503.", shedding)
 	counter("rcaserve_shed_flips_total", "Load-shedding verdict transitions, both directions.", float64(es.ShedFlips))
 	counter("rcaserve_shed_total", "Synchronous requests rejected by adaptive load shedding.", float64(s.sheds.Load()))
-	counter("rcaserve_deadline_expired_total", "Requests whose propagated deadline budget was spent on arrival.", float64(s.deadlineExpired.Load()))
 
 	counter("rcaserve_http_requests_total", "HTTP requests served.", float64(s.requests.Load()))
 	s.obs.httpReqs.Expose(w)

@@ -9,7 +9,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -19,7 +18,6 @@ import (
 	"time"
 
 	"dspaddr/internal/api"
-	"dspaddr/internal/deadline"
 	"dspaddr/internal/obs"
 )
 
@@ -84,12 +82,10 @@ func (ob *observability) threshold() time.Duration {
 
 // instrument is the single request wrapper: it assigns (or accepts)
 // the trace ID, threads a span recorder through the request context,
-// honors the propagated deadline budget (X-Deadline-Ms becomes a
-// context deadline; a budget already spent on arrival is a counted
-// 504 without touching the handler), applies armed response faults,
-// counts the request by route+status after the handler ran, observes
-// the latency histogram, retains slow and failed traces in the debug
-// ring and logs failures with their trace ID.
+// applies armed response faults, counts the request by route+status
+// after the handler ran, observes the latency histogram, retains slow
+// and failed traces in the debug ring and logs failures with their
+// trace ID.
 func (s *server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := requestID(r)
@@ -98,26 +94,15 @@ func (s *server) instrument(next http.Handler) http.Handler {
 		sw := &api.StatusWriter{ResponseWriter: w}
 		start := time.Now()
 		ctx := obs.NewContext(r.Context(), tr)
-		budget, hasBudget := deadline.FromHeader(r.Header)
-		if hasBudget && budget <= 0 {
-			s.deadlineExpired.Add(1)
-			api.WriteError(sw, http.StatusGatewayTimeout, "deadline budget spent before arrival")
-		} else {
-			if hasBudget {
-				var cancel context.CancelFunc
-				ctx, cancel = deadline.With(ctx, budget)
-				defer cancel()
+		if s.faults != nil {
+			if err := s.faults.BeforeResponse(ctx); err != nil {
+				// Blackhole: drop the connection without writing a
+				// response — the peer sees a transport error, never a
+				// synthesized status.
+				panic(http.ErrAbortHandler)
 			}
-			if s.faults != nil {
-				if err := s.faults.BeforeResponse(ctx); err != nil {
-					// Blackhole: drop the connection without writing a
-					// response — the peer sees a transport error, never
-					// a synthesized status.
-					panic(http.ErrAbortHandler)
-				}
-			}
-			next.ServeHTTP(sw, r.WithContext(ctx))
 		}
+		next.ServeHTTP(sw, r.WithContext(ctx))
 		dur := time.Since(start)
 
 		status := sw.Status()
@@ -127,12 +112,11 @@ func (s *server) instrument(next http.Handler) http.Handler {
 		s.obs.httpReqs.Add(1, route, statusText)
 		s.obs.httpHist.Observe(dur, route, statusText)
 
-		// A canceled request (client gone OR deadline budget expired)
-		// may have abandoned a solve that is still unwinding on a
-		// worker recording spans into this trace — so neither snapshot
-		// its span storage nor recycle it; retain a span-free record
-		// from what the middleware itself knows and leak the trace to
-		// the GC.
+		// A canceled request (the client went away) may have abandoned
+		// a solve that is still unwinding on a worker recording spans
+		// into this trace — so neither snapshot its span storage nor
+		// recycle it; retain a span-free record from what the
+		// middleware itself knows and leak the trace to the GC.
 		abandoned := ctx.Err() != nil
 		if captureTrace(status, dur, s.obs.threshold()) {
 			if abandoned {

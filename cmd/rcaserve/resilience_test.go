@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -14,24 +15,9 @@ import (
 	"dspaddr/internal/faults"
 )
 
-// Node-side resilience behavior: the propagated deadline budget, the
-// adaptive load-shedding policy on the synchronous paths, and the
-// gray-failure response faults the soak harness arms.
-
-func postWithDeadline(t *testing.T, url, budgetMS, body string) *http.Response {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Deadline-Ms", budgetMS)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
-}
+// Node-side resilience behavior: client cancellation reclaiming a
+// worker, the adaptive load-shedding policy on the synchronous paths,
+// and the gray-failure response faults the soak harness arms.
 
 func statsOf(t *testing.T, baseURL string) api.Stats {
 	t.Helper()
@@ -47,50 +33,67 @@ func statsOf(t *testing.T, baseURL string) api.Stats {
 	return out
 }
 
-// TestDeadlineSpentOnArrivalIs504: a request whose propagated budget
-// is already exhausted is refused at the middleware with a counted
-// 504 — the handler (and the engine) never see it.
-func TestDeadlineSpentOnArrivalIs504(t *testing.T) {
-	ts := newTestServer(t, engine.Options{Workers: 2})
-	resp := postWithDeadline(t, ts.URL+"/v1/allocate", "0", `{
-		"pattern": {"offsets": [1, 0, 2]},
-		"agu": {"registers": 2, "modifyRange": 1}
-	}`)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("spent budget: status %d, want 504", resp.StatusCode)
-	}
-	st := statsOf(t, ts.URL)
-	if st.DeadlineExpired != 1 {
-		t.Fatalf("deadlineExpired = %d, want 1", st.DeadlineExpired)
-	}
-	if st.Stats.Jobs != 0 {
-		t.Fatalf("engine ran %d jobs for a spent-budget request", st.Stats.Jobs)
-	}
-}
-
-// TestDeadlineBudgetCancelsSolve: a live budget becomes a context
-// deadline, so a solve that outlasts it is abandoned — the caller
-// gets a 504 in roughly the budget, not the solve's full latency.
-func TestDeadlineBudgetCancelsSolve(t *testing.T) {
-	inj, err := faults.Parse("delay=300ms")
+// TestClientCancelFreesWorker: a client that gives up mid-solve
+// cancels its request context, and the engine abandons the solve
+// cooperatively — so the next request on a one-worker engine does not
+// queue behind the stalled solve, and the abandoned job is counted as
+// canceled.
+func TestClientCancelFreesWorker(t *testing.T) {
+	inj, err := faults.Parse("delay=300ms:2") // only every 2nd solve stalls
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := newTestServerWith(t, engine.Options{Workers: 1, CacheSize: -1, Faults: inj},
+	ts := newTestServerWith(t, engine.Options{Workers: 1, Faults: inj},
 		serverOptions{version: "test"})
-	start := time.Now()
-	resp := postWithDeadline(t, ts.URL+"/v1/allocate", "40", `{
-		"pattern": {"offsets": [1, 0, 2, -1]},
-		"agu": {"registers": 2, "modifyRange": 1}
-	}`)
-	resp.Body.Close()
-	elapsed := time.Since(start)
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("expired budget: status %d, want 504", resp.StatusCode)
+	allocate := func(ctx context.Context, first int) (*http.Response, error) {
+		body := fmt.Sprintf(`{"pattern": {"offsets": [%d, 0, 2]}, "agu": {"registers": 2, "modifyRange": 1}}`, first)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/allocate", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		return http.DefaultClient.Do(req)
 	}
-	if elapsed >= 300*time.Millisecond {
-		t.Fatalf("answer took %v — the budget deadline did not cancel the solve", elapsed)
+	canceled := func() float64 {
+		f := scrapeFamilies(t, ts)["rcaserve_engine_canceled_total"]
+		if f == nil || len(f.Samples) != 1 {
+			t.Fatal("rcaserve_engine_canceled_total missing")
+		}
+		return f.Samples[0].Value
+	}
+
+	// Solve 1 runs at full speed.
+	resp, err := allocate(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	before := canceled()
+
+	// Solve 2 stalls for 300ms; its client gives up after 40ms.
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
+	defer cancel()
+	if resp, err := allocate(ctx, 3); err == nil {
+		resp.Body.Close()
+		t.Fatalf("a client that gave up got status %d", resp.StatusCode)
+	}
+
+	// Solve 3 needs the only worker: it answers well before the
+	// stalled solve would have ended.
+	resp, err = allocate(context.Background(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("next request: status %d, want 200", resp.StatusCode)
+	}
+	if elapsed := time.Since(start); elapsed >= 200*time.Millisecond {
+		t.Fatalf("next request answered %v after the abandoned one began — the stalled solve kept the worker", elapsed)
+	}
+	if after := canceled(); after <= before {
+		t.Fatalf("rcaserve_engine_canceled_total %v → %v, want it to go up", before, after)
 	}
 }
 

@@ -72,13 +72,11 @@ type server struct {
 	started  time.Time
 	requests atomic.Uint64
 	// sheds counts synchronous requests rejected by adaptive load
-	// shedding; deadlineExpired counts requests whose propagated
-	// X-Deadline-Ms budget was already spent on arrival.
-	sheds           atomic.Uint64
-	deadlineExpired atomic.Uint64
-	faults          *faults.Injector // nil outside soak builds
-	obs             *observability
-	wal             *wal.Log // nil when durability is off
+	// shedding.
+	sheds  atomic.Uint64
+	faults *faults.Injector // nil outside soak builds
+	obs    *observability
+	wal    *wal.Log // nil when durability is off
 }
 
 // newServer builds a server around a running engine and starts its
@@ -377,14 +375,13 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := api.Stats{
-		Stats:           s.engine.Stats(),
-		AsyncJobs:       s.jobs.Metrics(),
-		NodeID:          s.nodeID,
-		Version:         s.version,
-		UptimeSeconds:   time.Since(s.started).Seconds(),
-		HTTPRequests:    s.requests.Load(),
-		Sheds:           s.sheds.Load(),
-		DeadlineExpired: s.deadlineExpired.Load(),
+		Stats:         s.engine.Stats(),
+		AsyncJobs:     s.jobs.Metrics(),
+		NodeID:        s.nodeID,
+		Version:       s.version,
+		UptimeSeconds: time.Since(s.started).Seconds(),
+		HTTPRequests:  s.requests.Load(),
+		Sheds:         s.sheds.Load(),
 	}
 	if s.wal != nil {
 		ws := s.wal.Stats()
@@ -409,12 +406,11 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// statusForJobError distinguishes timeout failures (504) — per-job
-// solve deadlines and exhausted propagated deadline budgets alike —
-// from validation and allocation failures (422) on the single-job
+// statusForJobError distinguishes per-job solve timeouts (504) from
+// validation and allocation failures (422) on the single-job
 // endpoint.
 func statusForJobError(err error) int {
-	if errors.Is(err, engine.ErrTimeout) || errors.Is(err, context.DeadlineExceeded) {
+	if errors.Is(err, engine.ErrTimeout) {
 		return http.StatusGatewayTimeout
 	}
 	return http.StatusUnprocessableEntity

@@ -340,8 +340,7 @@ func strategyByName(name string) merge.Strategy {
 
 // checkResults compares a successful server answer against the local
 // reference: the echoed offsets must be the submitted offsets (the
-// aliasing oracle — a cache or single-flight bug hands back someone
-// else's pattern) and the summed cost must match the reference solve.
+// aliasing oracle — a cache bug hands back someone else's pattern) and the summed cost must match the reference solve.
 func (d *driver) checkResults(class string, s workload.JobSpec, results []api.Alloc) (refChecked, refOK, echoOK bool) {
 	echoOK = true
 	if !s.IsLoop() {

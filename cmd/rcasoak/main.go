@@ -840,11 +840,15 @@ func (h *harness) debugSnapshot() (debugSnapshot, bool) {
 // metricsFamilies are the exposition families the harness records at
 // baseline and at the end of the run (counters and histogram _count
 // sums; restarts reset them, so deltas are per-final-process).
+// The shed and canceled counters show in every report whether load
+// shedding fired and how much abandoned work the engine reclaimed.
 var metricsFamilies = []string{
 	"rcaserve_http_requests_total",
 	"rcaserve_jobs_submitted_total",
 	"rcaserve_engine_jobs_total",
 	"rcaserve_engine_cache_hits_total",
+	"rcaserve_engine_canceled_total",
+	"rcaserve_shed_total",
 	"rcaserve_http_request_duration_seconds",
 	"rcaserve_engine_solve_duration_seconds",
 	"rcaserve_job_queue_wait_duration_seconds",

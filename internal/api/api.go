@@ -1,8 +1,9 @@
 // Package api owns the /v1 wire format: the request and response
 // bodies rcaserve serves, the rcagate gateway decodes to validate and
 // route, and the soak driver and benchmarks send. It also owns the
-// small HTTP helpers both servers share, and the WAL encoding of async
-// job payloads and results, which is the same wire JSON.
+// small HTTP helpers and the build version both servers share, and
+// the WAL encoding of async job payloads and results, which is the
+// same wire JSON.
 //
 // Node and gateway decode request bodies with the same types and the
 // same strict decoder, so they accept exactly the same bodies.
@@ -233,10 +234,8 @@ type Stats struct {
 	UptimeSeconds float64 `json:"uptimeSeconds"`
 	HTTPRequests  uint64  `json:"httpRequests"`
 	// Sheds counts synchronous requests rejected by adaptive load
-	// shedding; DeadlineExpired counts requests whose propagated
-	// deadline budget was spent before arrival.
-	Sheds           uint64 `json:"sheds"`
-	DeadlineExpired uint64 `json:"deadlineExpired"`
+	// shedding.
+	Sheds uint64 `json:"sheds"`
 }
 
 // The WAL stores async job payloads (Job) and results (JobResponse)

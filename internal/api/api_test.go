@@ -295,3 +295,11 @@ func FuzzDecodeJob(f *testing.F) {
 		}
 	})
 }
+
+// TestBuildVersion: the build identity both servers report is never
+// empty, whatever build info the test binary carries.
+func TestBuildVersion(t *testing.T) {
+	if v := BuildVersion(); v == "" {
+		t.Fatal("BuildVersion returned empty")
+	}
+}

@@ -1,16 +1,16 @@
-package main
+package api
 
 import (
 	"runtime/debug"
 	"strings"
 )
 
-// buildVersion derives a human-usable version string from the
-// binary's embedded build info. A module-aware build already carries
-// a (pseudo-)version with the revision baked in; only a plain
-// "(devel)" build needs the VCS revision (and dirty marker) appended
-// by hand.
-func buildVersion() string {
+// BuildVersion derives a human-usable version string from the
+// binary's embedded build info; rcaserve and rcagate both report it.
+// A module-aware build already carries a (pseudo-)version with the
+// revision baked in; only a plain "(devel)" build needs the VCS
+// revision (and dirty marker) appended by hand.
+func BuildVersion() string {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
 		return "unknown"

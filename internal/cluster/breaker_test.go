@@ -245,47 +245,6 @@ func TestFirstRoutableFailsOpen(t *testing.T) {
 	}
 }
 
-func TestRetryBackoffJitterBounds(t *testing.T) {
-	for attempt := 1; attempt <= 6; attempt++ {
-		base := retryBackoffBase << (attempt - 1)
-		if base > retryBackoffCap {
-			base = retryBackoffCap
-		}
-		for i := 0; i < 200; i++ {
-			d := retryBackoff(attempt)
-			if d < base/2 || d >= base {
-				t.Fatalf("attempt %d: backoff %v outside [%v, %v)", attempt, d, base/2, base)
-			}
-		}
-	}
-}
-
-func TestRetryAfterOf(t *testing.T) {
-	mk := func(ra string) *nodeResponse {
-		h := make(map[string][]string)
-		if ra != "" {
-			h["Retry-After"] = []string{ra}
-		}
-		return &nodeResponse{header: h}
-	}
-	cases := []struct {
-		ra   string
-		want time.Duration
-	}{
-		{"", 0},
-		{"0", 0},
-		{"garbage", 0},
-		{"-3", 0},
-		{"1", retryAfterCap}, // 1s capped to keep the hop bounded
-		{"30", retryAfterCap},
-	}
-	for _, c := range cases {
-		if got := retryAfterOf(mk(c.ra)); got != c.want {
-			t.Errorf("retryAfterOf(%q) = %v, want %v", c.ra, got, c.want)
-		}
-	}
-}
-
 // refBreaker is the sort-based breaker the running counts replaced:
 // it keeps every duration of the window and trips when the sorted
 // window's q-quantile reaches the threshold. The state machine around

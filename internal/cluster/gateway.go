@@ -3,17 +3,13 @@
 //
 // Routing:
 //
-//	POST /v1/allocate      by the job's engine.RouteKey; idempotent
-//	                       (pure compute), so a transport failure
-//	                       retries once on the next up replica.
+//	POST /v1/allocate      by the job's engine.RouteKey.
 //	POST /v1/batch         split per job by route key into per-node
 //	                       sub-batches, results stitched back in
 //	                       request order.
 //	POST /v1/jobs          the whole submission routes by a combined
 //	                       digest of its jobs (atomic all-or-none
-//	                       admission is preserved); never retried —
-//	                       a died connection may already have
-//	                       admitted the batch.
+//	                       admission is preserved).
 //	GET  /v1/jobs          fan-out to every up node, merged newest-
 //	                       first by submission time.
 //	GET/DELETE /v1/jobs/{id}  by the ID's node tag (jobs.NodeOf) —
@@ -26,15 +22,19 @@
 //	GET  /healthz          200 while any node is up.
 //	GET  /v1/cluster       ring + member health introspection.
 //
+// Every route picks its node first — the first routable replica of
+// the key, the job ID's owner, or every up node in a fan-out — and
+// forwards once. Nothing is re-sent: the client owns retries.
+//
 // Status passthrough: a node's complete HTTP response — including a
 // draining node's 503 and its Retry-After — is copied to the client
 // verbatim. The gateway synthesizes its own 503 (Retry-After: 1) only
-// when every replica for a key is down or unreachable.
+// when every replica for a key is down or the chosen node is
+// unreachable.
 
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -51,7 +51,6 @@ import (
 	"time"
 
 	"dspaddr/internal/api"
-	"dspaddr/internal/deadline"
 	"dspaddr/internal/engine"
 	"dspaddr/internal/jobs"
 	"dspaddr/internal/obs"
@@ -84,13 +83,11 @@ type Gateway struct {
 	httpHist    *obs.HistogramVec
 	fwdReqs     *obs.CounterVec
 	fwdHist     *obs.HistogramVec
-	retries     *obs.CounterVec
 	nodeUp      *obs.GaugeVec
 	transitions *obs.CounterVec
 
 	breakerState       *obs.GaugeVec
 	breakerTransitions *obs.CounterVec
-	deadlineExpired    atomic.Uint64
 }
 
 // New wires the gateway and starts the fleet's health checker.
@@ -118,8 +115,6 @@ func New(opts Options) (*Gateway, error) {
 			"Requests forwarded to nodes, by node and status (status 0 = transport failure).", []string{"node", "status"}),
 		fwdHist: obs.NewHistogramVec("rcagate_forward_duration_seconds",
 			"Forwarded exchange latency, by node.", []string{"node"}, nil),
-		retries: obs.NewCounterVec("rcagate_forward_retries_total",
-			"Idempotent forwards retried on the next replica, by node tried.", []string{"node"}),
 		nodeUp: obs.NewGaugeVec("rcagate_node_up",
 			"Whether the node is currently marked up (1) or down (0).", []string{"node"}),
 		transitions: obs.NewCounterVec("rcagate_node_transitions_total",
@@ -151,12 +146,9 @@ func New(opts Options) (*Gateway, error) {
 		g.breakerState.Set(int64(BreakerClosed), m.Name)
 	}
 	g.fwd = newForwarder(g.fleet,
-		func(m *Member, status int, dur time.Duration, retry bool) {
+		func(m *Member, status int, dur time.Duration) {
 			g.fwdReqs.Add(1, m.Name, strconv.Itoa(status))
 			g.fwdHist.Observe(dur, m.Name)
-			if retry {
-				g.retries.Add(1, m.Name)
-			}
 		})
 	g.fleet.Start()
 	return g, nil
@@ -186,10 +178,7 @@ func (g *Gateway) Handler() http.Handler {
 // instrument adopts or generates the request's trace ID, normalizes
 // it onto the INCOMING headers (so every forwarded hop carries the
 // gateway's ID — the node honors a well-formed X-Request-Id instead
-// of regenerating), echoes it to the client, attaches the client's
-// deadline budget (X-Deadline-Ms) as a context deadline — answering
-// 504 outright when the budget arrives already spent — and counts
-// the request.
+// of regenerating), echoes it to the client and counts the request.
 func (g *Gateway) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-Id")
@@ -198,20 +187,9 @@ func (g *Gateway) instrument(next http.Handler) http.Handler {
 		}
 		r.Header.Set("X-Request-Id", id)
 		w.Header().Set("X-Request-Id", id)
-		budget, hasBudget := deadline.FromHeader(r.Header)
-		if hasBudget && budget > 0 {
-			ctx, cancel := deadline.With(r.Context(), budget)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
 		sw := &api.StatusWriter{ResponseWriter: w}
 		start := time.Now()
-		if hasBudget && budget <= 0 {
-			g.deadlineExpired.Add(1)
-			api.WriteError(sw, http.StatusGatewayTimeout, "deadline budget already spent")
-		} else {
-			next.ServeHTTP(sw, r)
-		}
+		next.ServeHTTP(sw, r)
 		dur := time.Since(start)
 		status := sw.Status()
 		route := api.RouteOf(r.URL.Path)
@@ -297,26 +275,12 @@ func copyResponse(w http.ResponseWriter, resp *nodeResponse) {
 }
 
 // writeUnavailable is the gateway's own 503: every replica for the
-// key was down or unreachable. Retry-After is short — mark-down plus
-// rehash happens within the health-check window.
+// key was down, or the chosen node was unreachable. Retry-After is
+// short — mark-down plus rehash happens within the health-check
+// window.
 func (g *Gateway) writeUnavailable(w http.ResponseWriter, err error) {
 	w.Header().Set("Retry-After", "1")
 	api.WriteError(w, http.StatusServiceUnavailable, "no node available: %v", err)
-}
-
-// writeForwardError classifies a failed forward for the client: a
-// spent deadline budget is the CLIENT's 504 (the fleet did nothing
-// wrong), a vanished client gets nothing (the write would land on a
-// closed connection), and anything else is the fleet-level 503.
-func (g *Gateway) writeForwardError(w http.ResponseWriter, r *http.Request, err error) {
-	if ctxErr := r.Context().Err(); ctxErr != nil {
-		if errors.Is(ctxErr, context.DeadlineExceeded) {
-			g.deadlineExpired.Add(1)
-			api.WriteError(w, http.StatusGatewayTimeout, "deadline budget spent: %v", err)
-		}
-		return
-	}
-	g.writeUnavailable(w, err)
 }
 
 // ---- /v1/allocate ----------------------------------------------------
@@ -332,10 +296,16 @@ func (g *Gateway) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	// Pure compute is idempotent: retry once on the next replica.
-	resp, err := g.fwd.routed(r.Context(), routeKeyOf(&job), http.MethodPost, "/v1/allocate", body, r.Header, true)
+	m := g.fleet.FirstRoutable(routeKeyOf(&job))
+	if m == nil {
+		g.writeUnavailable(w, ErrAllReplicasDown)
+		return
+	}
+	resp, err := g.fwd.do(r.Context(), m, http.MethodPost, "/v1/allocate", body, r.Header)
 	if err != nil {
-		g.writeForwardError(w, r, err)
+		if r.Context().Err() == nil { // a vanished client gets nothing
+			g.writeUnavailable(w, err)
+		}
 		return
 	}
 	copyResponse(w, resp)
@@ -383,7 +353,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Single destination: the whole batch forwards unchanged, and the
 	// node's answer (including its elapsed time) is the client's.
 	if len(groups) == 1 {
-		resp, err := g.fwd.do(r.Context(), groups[order[0]].member, http.MethodPost, "/v1/batch", body, r.Header, false)
+		resp, err := g.fwd.do(r.Context(), groups[order[0]].member, http.MethodPost, "/v1/batch", body, r.Header)
 		if err != nil {
 			g.writeUnavailable(w, err)
 			return
@@ -415,7 +385,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 				g.fillBatchErrors(results, gr.indices, fmt.Sprintf("encode sub-batch: %v", err))
 				return
 			}
-			resp, err := g.fwd.do(r.Context(), gr.member, http.MethodPost, "/v1/batch", payload, r.Header, false)
+			resp, err := g.fwd.do(r.Context(), gr.member, http.MethodPost, "/v1/batch", payload, r.Header)
 			if err != nil {
 				g.fillBatchErrors(results, gr.indices, fmt.Sprintf("node %s unreachable: %v", gr.member.Name, err))
 				return
@@ -481,13 +451,11 @@ func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		g.writeUnavailable(w, ErrAllReplicasDown)
 		return
 	}
-	// Submission is NOT idempotent: once bytes left for the node the
-	// batch may be admitted, so a transport failure is surfaced as a
-	// 503 for the client to decide — never silently retried.
-	resp, err := g.fwd.do(r.Context(), m, http.MethodPost, "/v1/jobs", body, r.Header, false)
+	// Once bytes left for the node the batch may be admitted, so a
+	// transport failure is surfaced as a 503 for the client to decide.
+	resp, err := g.fwd.do(r.Context(), m, http.MethodPost, "/v1/jobs", body, r.Header)
 	if err != nil {
 		if r.Context().Err() != nil {
-			g.writeForwardError(w, r, err)
 			return
 		}
 		w.Header().Set("Retry-After", "1")
@@ -546,7 +514,7 @@ func (g *Gateway) handleJobList(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, m *Member) {
 			defer wg.Done()
-			resp, err := g.fwd.do(r.Context(), m, http.MethodGet, path, nil, r.Header, false)
+			resp, err := g.fwd.do(r.Context(), m, http.MethodGet, path, nil, r.Header)
 			if err != nil {
 				pages[i].err = err
 				return
@@ -665,10 +633,9 @@ func (g *Gateway) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusServiceUnavailable, "job %s: owning node %s is down", id, tag)
 		return
 	}
-	resp, err := g.fwd.do(r.Context(), m, r.Method, "/v1/jobs/"+id, nil, r.Header, false)
+	resp, err := g.fwd.do(r.Context(), m, r.Method, "/v1/jobs/"+id, nil, r.Header)
 	if err != nil {
 		if r.Context().Err() != nil {
-			g.writeForwardError(w, r, err)
 			return
 		}
 		w.Header().Set("Retry-After", "1")
@@ -689,7 +656,6 @@ type fleetStatsJSON struct {
 	Jobs           uint64  `json:"jobs"`
 	CacheHits      uint64  `json:"cacheHits"`
 	CacheMisses    uint64  `json:"cacheMisses"`
-	Deduped        uint64  `json:"deduped"`
 	Errors         uint64  `json:"errors"`
 	Timeouts       uint64  `json:"timeouts"`
 	Canceled       uint64  `json:"canceled"`
@@ -712,9 +678,6 @@ type gatewayStatsJSON struct {
 	// Breakers maps node name to circuit position ("closed", "open",
 	// "half-open").
 	Breakers map[string]string `json:"breakers"`
-	// DeadlineExpired counts requests answered 504 because their
-	// X-Deadline-Ms budget ran out at or inside the gateway.
-	DeadlineExpired uint64 `json:"deadlineExpired"`
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -729,7 +692,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, m *Member) {
 			defer wg.Done()
-			resp, err := g.fwd.do(r.Context(), m, http.MethodGet, "/v1/stats", nil, r.Header, false)
+			resp, err := g.fwd.do(r.Context(), m, http.MethodGet, "/v1/stats", nil, r.Header)
 			if err == nil && resp.status == http.StatusOK {
 				perNode[i] = resp.body
 			}
@@ -751,7 +714,6 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		fleet.Jobs += s.Jobs
 		fleet.CacheHits += s.CacheHits
 		fleet.CacheMisses += s.CacheMisses
-		fleet.Deduped += s.Deduped
 		fleet.Errors += s.Errors
 		fleet.Timeouts += s.Timeouts
 		fleet.Canceled += s.Canceled
@@ -779,11 +741,10 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		Fleet: fleet,
 		Nodes: nodes,
 		Gateway: gatewayStatsJSON{
-			Version:         g.version,
-			UptimeSeconds:   time.Since(g.started).Seconds(),
-			HTTPRequests:    g.requests.Load(),
-			Breakers:        breakers,
-			DeadlineExpired: g.deadlineExpired.Load(),
+			Version:       g.version,
+			UptimeSeconds: time.Since(g.started).Seconds(),
+			HTTPRequests:  g.requests.Load(),
+			Breakers:      breakers,
 		},
 	})
 }
@@ -802,7 +763,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	g.httpHist.Expose(w)
 	g.fwdReqs.Expose(w)
 	g.fwdHist.Expose(w)
-	g.retries.Expose(w)
 	g.nodeUp.Expose(w)
 	g.transitions.Expose(w)
 	g.breakerState.Expose(w)
@@ -810,7 +770,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP rcagate_nodes Configured fleet size.\n# TYPE rcagate_nodes gauge\nrcagate_nodes %d\n", len(g.fleet.Members()))
 	fmt.Fprintf(w, "# HELP rcagate_nodes_up Nodes currently marked up.\n# TYPE rcagate_nodes_up gauge\nrcagate_nodes_up %d\n", g.fleet.UpCount())
 	fmt.Fprintf(w, "# HELP rcagate_uptime_seconds Gateway process uptime.\n# TYPE rcagate_uptime_seconds gauge\nrcagate_uptime_seconds %g\n", time.Since(g.started).Seconds())
-	fmt.Fprintf(w, "# HELP rcagate_deadline_expired_total Requests answered 504 for a spent deadline budget.\n# TYPE rcagate_deadline_expired_total counter\nrcagate_deadline_expired_total %d\n", g.deadlineExpired.Load())
 
 	up := g.upMembers()
 	scrapes := make([]map[string]*obs.Family, len(up))
@@ -819,7 +778,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, m *Member) {
 			defer wg.Done()
-			resp, err := g.fwd.do(r.Context(), m, http.MethodGet, "/metrics", nil, r.Header, false)
+			resp, err := g.fwd.do(r.Context(), m, http.MethodGet, "/metrics", nil, r.Header)
 			if err != nil || resp.status != http.StatusOK {
 				return
 			}

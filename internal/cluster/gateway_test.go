@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -188,38 +189,52 @@ func TestGatewayRequestIDForwarded(t *testing.T) {
 	}
 }
 
-// TestGatewayRetryAfterPassthrough asserts the back-pressure
-// satellite: a node's 503 (draining) with its own Retry-After reaches
-// the client byte-identical — never replaced by a gateway value.
+// TestGatewayRetryAfterPassthrough asserts back-pressure reaches the
+// client unchanged: a node's 503 (draining) with its own Retry-After
+// is passed through byte-identical — never replaced by a gateway
+// value — after exactly one attempt, on submit and on allocate alike.
 func TestGatewayRetryAfterPassthrough(t *testing.T) {
-	a := newFakeNode("n1")
-	defer a.srv.Close()
-	a.handler = func(w http.ResponseWriter, r *http.Request) bool {
-		if r.URL.Path == "/v1/jobs" && r.Method == http.MethodPost {
+	var hits atomic.Int32
+	mk := func(name string) *fakeNode {
+		n := newFakeNode(name)
+		n.handler = func(w http.ResponseWriter, r *http.Request) bool {
+			if r.Method != http.MethodPost || (r.URL.Path != "/v1/jobs" && r.URL.Path != "/v1/allocate") {
+				return false
+			}
+			hits.Add(1)
 			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("Retry-After", "7")
 			w.WriteHeader(http.StatusServiceUnavailable)
 			fmt.Fprint(w, `{"error":"server is draining; retry shortly"}`)
 			return true
 		}
-		return false
+		return n
 	}
-	_, srv := newTestGateway(t, a)
+	a, b := mk("n1"), mk("n2")
+	defer a.srv.Close()
+	defer b.srv.Close()
+	_, srv := newTestGateway(t, a, b)
 
-	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(allocBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "7" {
-		t.Fatalf("Retry-After %q, want the node's own \"7\"", ra)
-	}
-	if !strings.Contains(string(body), "draining") {
-		t.Fatalf("node body not passed through: %s", body)
+	for _, path := range []string{"/v1/jobs", "/v1/allocate"} {
+		hits.Store(0)
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(allocBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s: status %d, want 503", path, resp.StatusCode)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "7" {
+			t.Fatalf("%s: Retry-After %q, want the node's own \"7\"", path, ra)
+		}
+		if !strings.Contains(string(body), "draining") {
+			t.Fatalf("%s: node body not passed through: %s", path, body)
+		}
+		if n := hits.Load(); n != 1 {
+			t.Fatalf("%s: %d attempts, want exactly 1", path, n)
+		}
 	}
 }
 
@@ -261,9 +276,11 @@ func TestGatewayAllReplicasDown(t *testing.T) {
 	}
 }
 
-// TestGatewayIdempotentRetry asserts a dead node's allocate fails
-// over: the owner is unreachable (transport error), the request lands
-// on the next up replica, and the dead node's failure run starts.
+// TestGatewayIdempotentRetry asserts what a dead-but-up owner costs a
+// client that retries its (idempotent) allocates: each forward to it
+// answers 503 + Retry-After 1 and counts as a health failure, so after
+// at most FailThreshold such answers the node is marked down and its
+// keys rehash to the next replica.
 func TestGatewayIdempotentRetry(t *testing.T) {
 	a, b, c := newFakeNode("n1"), newFakeNode("n2"), newFakeNode("n3")
 	defer b.srv.Close()
@@ -271,27 +288,41 @@ func TestGatewayIdempotentRetry(t *testing.T) {
 	a.srv.Close() // n1 is dead but still marked up
 
 	gw, srv := newTestGateway(t, a, b, c)
-	_ = gw
+	threshold := gw.fleet.opts.FailThreshold
 
-	// Fire enough distinct campaigns that at least one routes to n1.
-	ok := 0
-	for i := 0; i < 12; i++ {
-		body := fmt.Sprintf(`{"pattern":{"offsets":[%d,0,2]},"agu":{"registers":1,"modifyRange":1}}`, i)
-		resp, err := http.Post(srv.URL+"/v1/allocate", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+	// Distinct campaigns, the first owned by n1; each client retries
+	// until it gets an answer.
+	bodies := []string{ownedAllocate(t, gw.fleet, "n1")}
+	for i := 0; i < 11; i++ {
+		bodies = append(bodies, fmt.Sprintf(`{"pattern":{"offsets":[%d,1,3]},"agu":{"registers":1,"modifyRange":1}}`, i))
+	}
+	unavailable := 0
+	for _, body := range bodies {
+		status := 0
+		for attempt := 0; attempt <= threshold && status != http.StatusOK; attempt++ {
+			resp, err := http.Post(srv.URL+"/v1/allocate", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain
+			resp.Body.Close()
+			status = resp.StatusCode
+			if status == http.StatusServiceUnavailable {
+				unavailable++
+				if ra := resp.Header.Get("Retry-After"); ra != "1" {
+					t.Fatalf("gateway 503 Retry-After %q, want 1", ra)
+				}
+			}
 		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			ok++
+		if status != http.StatusOK {
+			t.Fatalf("allocate never succeeded past the dead node (last status %d)", status)
 		}
 	}
-	if ok != 12 {
-		t.Fatalf("only %d/12 allocates survived one dead node", ok)
+	if unavailable == 0 || unavailable > threshold {
+		t.Fatalf("dead owner cost %d 503s, want 1..%d", unavailable, threshold)
 	}
-	if f := gw.fleet.Member("n1").Fails(); f == 0 {
-		t.Fatal("dead node accumulated no failure reports")
+	if gw.fleet.Member("n1").Up() {
+		t.Fatal("dead node still marked up")
 	}
 }
 

@@ -2,135 +2,21 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"dspaddr/internal/deadline"
+	"dspaddr/internal/api"
 )
 
-// TestGatewayDeadlineHeaderDecrementsPerHop asserts the budget rides
-// the hop: the node sees an X-Deadline-Ms no larger than the client's
-// and still positive, because the gateway recomputes it from the
-// remaining context budget at send time.
-func TestGatewayDeadlineHeaderDecrementsPerHop(t *testing.T) {
-	a := newFakeNode("n1")
-	defer a.srv.Close()
-	var seen atomic.Value
-	a.handler = func(w http.ResponseWriter, r *http.Request) bool {
-		if r.URL.Path == "/v1/allocate" {
-			seen.Store(r.Header.Get(deadline.Header))
-		}
-		return false
-	}
-	_, srv := newTestGateway(t, a)
-
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/allocate", strings.NewReader(allocBody))
-	req.Header.Set(deadline.Header, "5000")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200", resp.StatusCode)
-	}
-	raw, _ := seen.Load().(string)
-	ms, err := strconv.Atoi(raw)
-	if err != nil {
-		t.Fatalf("node saw %s %q, want an integer", deadline.Header, raw)
-	}
-	if ms <= 0 || ms > 5000 {
-		t.Fatalf("forwarded budget %dms, want in (0, 5000]", ms)
-	}
-}
-
-// TestGatewaySpentBudgetIs504 asserts a request arriving with no
-// budget left is answered 504 at the edge — the node is never asked
-// to do work the client has already given up on.
-func TestGatewaySpentBudgetIs504(t *testing.T) {
-	a := newFakeNode("n1")
-	defer a.srv.Close()
-	gw, srv := newTestGateway(t, a)
-
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/allocate", strings.NewReader(allocBody))
-	req.Header.Set(deadline.Header, "0")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504", resp.StatusCode)
-	}
-	if al, _ := a.counts(); al != 0 {
-		t.Fatal("a spent budget still reached the node")
-	}
-	if got := gw.deadlineExpired.Load(); got != 1 {
-		t.Fatalf("deadlineExpired = %d, want 1", got)
-	}
-}
-
-// TestGatewayDeadlineExpiresMidFlight: the budget runs out while the
-// node is still working — the gateway answers 504 (not 503), the
-// in-flight hop is canceled, and the node is NOT penalized in health
-// accounting (it did nothing wrong).
-func TestGatewayDeadlineExpiresMidFlight(t *testing.T) {
-	a := newFakeNode("n1")
-	defer a.srv.Close()
-	canceled := make(chan struct{}, 1)
-	a.handler = func(w http.ResponseWriter, r *http.Request) bool {
-		if r.URL.Path != "/v1/allocate" {
-			return false
-		}
-		// Drain the body like a real node would: only then does the
-		// server's background read detect a dropped peer and cancel
-		// the request context.
-		io.Copy(io.Discard, r.Body) //nolint:errcheck // drain
-		select {
-		case <-r.Context().Done():
-			canceled <- struct{}{}
-		case <-time.After(5 * time.Second):
-		}
-		return true
-	}
-	gw, srv := newTestGateway(t, a)
-
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/allocate", strings.NewReader(allocBody))
-	req.Header.Set(deadline.Header, "80")
-	start := time.Now()
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504", resp.StatusCode)
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("504 took %v — the budget did not bound the hop", elapsed)
-	}
-	select {
-	case <-canceled:
-	case <-time.After(2 * time.Second):
-		t.Fatal("node-side handler never saw the cancellation")
-	}
-	if f := gw.fleet.Member("n1").Fails(); f != 0 {
-		t.Fatalf("deadline expiry charged the node %d health failures", f)
-	}
-}
-
-// TestGatewayClientDisconnectCancelsUpstream is the satellite fix
-// proper: a client that walks away mid-request must cancel the
-// forwarded hop, so the node-side work actually stops instead of
+// TestGatewayClientDisconnectCancelsUpstream: a client that walks
+// away mid-request must cancel the forwarded hop, so the node-side work actually stops instead of
 // running to completion for nobody.
 func TestGatewayClientDisconnectCancelsUpstream(t *testing.T) {
 	a := newFakeNode("n1")
@@ -234,52 +120,72 @@ func TestGatewaySlowJobRequestsReachOwnerOnce(t *testing.T) {
 	}
 }
 
-// TestGatewayRetryHonorsRetryAfter: an idempotent 503 retries on the
-// next replica only after honoring the node's Retry-After (capped) —
-// and when the retry also answers 503, that LAST node answer is what
-// the client sees.
-func TestGatewayRetryHonorsRetryAfter(t *testing.T) {
-	mk := func(name string, hits *atomic.Int32) *fakeNode {
-		n := newFakeNode(name)
-		n.handler = func(w http.ResponseWriter, r *http.Request) bool {
-			if r.URL.Path != "/v1/allocate" {
-				return false
-			}
-			hits.Add(1)
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprint(w, `{"error":"draining"}`)
-			return true
+// ownedAllocate returns an allocate body whose ring owner in fleet is
+// the named member.
+func ownedAllocate(t *testing.T, fleet *Fleet, owner string) string {
+	t.Helper()
+	for i := 0; i < 256; i++ {
+		body := fmt.Sprintf(`{"pattern":{"offsets":[%d,0,2]},"agu":{"registers":1,"modifyRange":1}}`, i)
+		var job api.Job
+		if err := json.Unmarshal([]byte(body), &job); err != nil {
+			t.Fatal(err)
 		}
-		return n
+		if fleet.Replicas(routeKeyOf(&job))[0].Name == owner {
+			return body
+		}
 	}
-	var hitsA, hitsB atomic.Int32
-	a, b := mk("n1", &hitsA), mk("n2", &hitsB)
+	t.Fatalf("no allocate body owned by %s", owner)
+	return ""
+}
+
+// TestGatewayAllocateLeavesOtherBreakersAlone: routing an allocate
+// consults breakers only until it finds its node. An expired-open
+// breaker on a node the request never reaches must stay open, with
+// its half-open probe slot unspent.
+func TestGatewayAllocateLeavesOtherBreakersAlone(t *testing.T) {
+	a, b := newFakeNode("n1"), newFakeNode("n2")
 	defer a.srv.Close()
 	defer b.srv.Close()
-	_, srv := newTestGateway(t, a, b)
+	const openFor = 50 * time.Millisecond
+	fleet, err := NewFleet([]Member{
+		{Name: "n1", URL: a.srv.URL},
+		{Name: "n2", URL: b.srv.URL},
+	}, FleetOptions{
+		ProbeInterval: time.Hour,
+		Breaker:       BreakerOptions{Window: 4, MinSamples: 2, ErrRate: 0.5, OpenFor: openFor},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := New(Options{Fleet: fleet, Version: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(gw.Handler())
+	defer func() { srv.Close(); gw.Close() }()
 
-	start := time.Now()
-	resp, err := http.Post(srv.URL+"/v1/allocate", "application/json", strings.NewReader(allocBody))
+	n2 := fleet.Member("n2")
+	now := time.Now()
+	n2.brk.record(false, time.Millisecond, now)
+	n2.brk.record(false, time.Millisecond, now)
+	if n2.BreakerState() != BreakerOpen {
+		t.Fatal("n2 breaker did not open")
+	}
+	time.Sleep(2 * openFor) // past OpenFor: the next allow would probe
+
+	resp, err := http.Post(srv.URL+"/v1/allocate", "application/json", strings.NewReader(ownedAllocate(t, fleet, "n1")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain
 	resp.Body.Close()
-	elapsed := time.Since(start)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want the node's 503 passed through", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200 from n1", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "1" {
-		t.Fatalf("Retry-After %q, want the node's own \"1\"", ra)
+	if al, _ := b.counts(); al != 0 {
+		t.Fatalf("n2 received %d allocates, want 0", al)
 	}
-	if got := hitsA.Load() + hitsB.Load(); got != 2 {
-		t.Fatalf("%d attempts total, want exactly 2 (primary + one retry)", got)
-	}
-	// The retry waited the capped Retry-After (500ms), not the bare
-	// jittered backoff (< 20ms at attempt 1).
-	if elapsed < retryAfterCap {
-		t.Fatalf("retry after %v, want >= %v (the honored Retry-After)", elapsed, retryAfterCap)
+	if st := n2.BreakerState(); st != BreakerOpen {
+		t.Fatalf("n2 breaker %v after an allocate it never saw, want open", st)
 	}
 }

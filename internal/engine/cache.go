@@ -1,5 +1,4 @@
-// Canonicalized-pattern result cache: binary keys, N-way sharding,
-// integrated single-flight.
+// Canonicalized-pattern result cache: binary keys, N-way sharding.
 //
 // Every quantity the allocator computes — distance-graph edges, path
 // covers, merge costs, the final Assignment (which holds access
@@ -18,15 +17,13 @@
 // fast path. FuzzCanonicalKey guards the translation-iff property
 // against digest mistakes.
 //
-// The cache is sharded 2^k ways by digest, one mutex, one LRU list
-// and one single-flight table per shard, so concurrent hits on a warm
-// cache stop serializing on a single global lock and the former
-// separate flight mutex disappears entirely.
+// The cache is sharded 2^k ways by digest, one mutex and one LRU list
+// per shard, so concurrent hits on a warm cache do not serialize on a
+// single global lock.
 
 package engine
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 
@@ -143,22 +140,6 @@ func rewrite(cached *core.Result, req Request) *core.Result {
 	return &out
 }
 
-// flight is one in-progress solve shared by a leader and any
-// concurrent followers with the same key. v and err are written by
-// complete before done is closed; the channel close publishes them.
-// A flight finished with errSolveAborted carries no result — its
-// leader abandoned the solve (cancellation or timeout) and followers
-// retry, one of them becoming the new leader.
-type flight struct {
-	done chan struct{}
-	v    any
-	err  error
-}
-
-// errSolveAborted marks a flight whose leader abandoned the solve; it
-// never escapes the engine.
-var errSolveAborted = errors.New("engine: solve abandoned by canceled leader")
-
 // cacheEntry is one intrusive LRU node.
 type cacheEntry struct {
 	key        cacheKey
@@ -166,12 +147,11 @@ type cacheEntry struct {
 	prev, next *cacheEntry
 }
 
-// cacheShard is one lock domain: an LRU entry map plus the
-// single-flight table for the keys that hash here.
+// cacheShard is one lock domain: the LRU entries of the keys that
+// hash here.
 type cacheShard struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*cacheEntry
-	flights map[cacheKey]*flight
 	head    *cacheEntry // most recently used
 	tail    *cacheEntry // least recently used
 	size    int
@@ -180,8 +160,7 @@ type cacheShard struct {
 
 // resultCache is the sharded LRU of solved canonical results. Shard
 // selection uses the key digest's low bits; with caching disabled
-// (CacheSize < 0) the shards still run single-flight deduplication,
-// they just never retain results.
+// (CacheSize < 0) get always misses and put retains nothing.
 type resultCache struct {
 	shards   []cacheShard
 	mask     uint64
@@ -190,13 +169,13 @@ type resultCache struct {
 }
 
 // newResultCache sizes the cache: 0 means DefaultCacheSize, negative
-// disables result retention (single-flight stays active). The shard
-// count is the power of two nearest above twice the CPU count,
-// clamped to [8, 64] — and halved down to the entry cap when the
-// configured size is smaller than that, so a tiny cache degrades to
-// fewer shards instead of rounding its capacity up. The per-shard
-// caps sum to exactly the configured size: the total entry bound is
-// never exceeded and CacheEntries can never pass CacheCapacity.
+// disables result retention. The shard count is the power of two
+// nearest above twice the CPU count, clamped to [8, 64] — and halved
+// down to the entry cap when the configured size is smaller than
+// that, so a tiny cache degrades to fewer shards instead of rounding
+// its capacity up. The per-shard caps sum to exactly the configured
+// size: the total entry bound is never exceeded and CacheEntries can
+// never pass CacheCapacity.
 func newResultCache(size int) *resultCache {
 	disabled := size < 0
 	if size <= 0 {
@@ -222,7 +201,6 @@ func newResultCache(size int) *resultCache {
 		if i < extra {
 			s.max++
 		}
-		s.flights = make(map[cacheKey]*flight)
 		if !disabled {
 			s.entries = make(map[cacheKey]*cacheEntry)
 		}
@@ -268,51 +246,8 @@ func (c *resultCache) get(k cacheKey) (any, bool) {
 	return v, true
 }
 
-// join is the atomic miss path: under one shard lock it rechecks the
-// cache (a result may have landed since the caller's get), attaches
-// to an in-progress flight for the key, or — neither — opens a new
-// flight with the caller as leader. Exactly one of the return shapes
-// holds: (v, true, nil, false) cache hit; (nil, false, f, false)
-// follower of f; (nil, false, f, true) leader of the new flight f.
-func (c *resultCache) join(k cacheKey) (v any, hit bool, f *flight, leader bool) {
-	s := c.shard(k)
-	s.mu.Lock()
-	if !c.disabled {
-		if e, ok := s.entries[k]; ok {
-			s.moveToFront(e)
-			v = e.res
-			s.mu.Unlock()
-			return v, true, nil, false
-		}
-	}
-	if f = s.flights[k]; f != nil {
-		s.mu.Unlock()
-		return nil, false, f, false
-	}
-	f = &flight{done: make(chan struct{})}
-	s.flights[k] = f
-	s.mu.Unlock()
-	return nil, false, f, true
-}
-
-// complete finishes a flight: the result is published to followers
-// via the done close, and a successful solve is inserted into the
-// shard's LRU (an aborted or failed one is not).
-func (c *resultCache) complete(k cacheKey, f *flight, v any, err error) {
-	s := c.shard(k)
-	s.mu.Lock()
-	delete(s.flights, k)
-	if err == nil && !c.disabled {
-		s.insert(k, v)
-	}
-	s.mu.Unlock()
-	f.v, f.err = v, err
-	close(f.done)
-}
-
-// put inserts a solved result directly, bypassing the flight
-// protocol; the engine caches through complete, put serves tests and
-// future warm-start loading.
+// put inserts a solved result, refreshing the entry when a
+// concurrent identical miss got there first.
 func (c *resultCache) put(k cacheKey, v any) {
 	if c.disabled {
 		return

@@ -21,9 +21,8 @@
 // owns a reusable core.Solver, so a cache miss reuses the previous
 // solve's distance-graph, path-cover and merge workspaces instead of
 // rebuilding them from heap. A missing result is computed on the
-// worker that discovered the miss (the single-flight leader) rather
-// than on a spawned goroutine; concurrent identical jobs attach to
-// that flight as followers. And solves are cooperatively cancelable:
+// worker that discovered the miss rather than on a spawned goroutine.
+// And solves are cooperatively cancelable:
 // the worker threads its job context into the phase-1 branch-and-bound
 // and the merge loop, so a canceled or timed-out job releases its
 // worker within microseconds instead of occupying it until the full
@@ -100,9 +99,8 @@ type JobResult struct {
 	// ErrTimeout past the per-job deadline, or the context error if the
 	// submitting context was canceled first.
 	Err error
-	// CacheHit reports that this job did not run its own solve: the
-	// result came from the canonical-pattern cache, or from sharing a
-	// concurrent identical job's solve (single-flight).
+	// CacheHit reports that the result came from the canonical-pattern
+	// cache, so this job ran no solve.
 	CacheHit bool
 	// Elapsed is the wall time from dequeue to completion.
 	Elapsed time.Duration
@@ -124,11 +122,10 @@ type Options struct {
 	JobTimeout time.Duration
 	// CacheSize is the maximum number of cached canonical results
 	// across all shards; 0 means DefaultCacheSize, negative disables
-	// result retention (single-flight dedup stays active).
+	// result retention.
 	CacheSize int
 	// Faults is the opt-in chaos hook for soak builds: an armed
-	// injector can stall or fail solves on the single-flight leader
-	// (see internal/faults). nil — the production default — costs one
+	// injector can stall or fail any solve (see internal/faults). nil — the production default — costs one
 	// pointer compare per solve and nothing else.
 	Faults *faults.Injector
 	// ShedTarget is the CoDel-style queue-wait target for adaptive
@@ -304,8 +301,8 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// SolveHistogram is the latency histogram of every successful leader
-// solve (cache misses only) behind the Stats percentiles, for the
+// SolveHistogram is the latency histogram of every successful solve
+// (cache misses only) behind the Stats percentiles, for the
 // serving layer's /metrics exposition.
 func (e *Engine) SolveHistogram() *obs.Histogram { return e.stats.solveHist }
 
@@ -388,8 +385,7 @@ func (e *Engine) processPattern(ctx context.Context, solver *core.Solver, req Re
 		return JobResult{Err: err, Elapsed: elapsed}
 	}
 	// Always hand out a rewritten copy — the solved value lives in the
-	// cache (and in concurrent followers), so the caller must never
-	// see the shared pointer.
+	// cache, so the caller must never see the shared pointer.
 	sp = tr.StartSpan("result.rewrite")
 	out := rewrite(v.(*core.Result), req)
 	sp.End()
@@ -397,110 +393,36 @@ func (e *Engine) processPattern(ctx context.Context, solver *core.Solver, req Re
 }
 
 // solveKeyed is the shared cache-then-solve path of pattern and loop
-// jobs, running on a worker goroutine.
-//
-// The first job with a given canonical key becomes the flight's
-// leader and runs the solver on its own worker (no spawned
-// goroutine), under a context bounded by the job context and the
-// per-job timeout; concurrent followers wait for its result and
-// report as cache hits. A leader that abandons its solve
-// (cancellation or timeout — the solver unwinds cooperatively)
-// finishes the flight with an abort marker: followers that are still
-// interested retry, and one of them becomes the new leader. Followers
-// that give up (their own cancellation or timeout) simply leave —
-// solver concurrency stays bounded by the worker pool because solves
-// only ever run on leader workers.
+// jobs, running on a worker goroutine. A hit answers from the cache.
+// A miss runs the solver on this worker (no spawned goroutine) under
+// a context bounded by the job context and the per-job timeout, and
+// caches a successful result; a solve abandoned by cancellation or
+// timeout unwinds cooperatively and caches nothing. Concurrent
+// identical misses each solve; solver concurrency stays bounded by
+// the worker pool.
 func (e *Engine) solveKeyed(ctx context.Context, solver *core.Solver, key cacheKey, t task, start time.Time) (any, bool, error, time.Duration) {
-	var timeout <-chan time.Time
-	var timer *time.Timer
 	tr := obs.FromContext(ctx)
-	for {
-		if err := ctx.Err(); err != nil {
-			e.stats.canceledJob()
-			return nil, false, err, time.Since(start)
-		}
-		sp := tr.StartSpan("cache.lookup")
-		v, hit, f, leader := e.cache.join(key)
-		sp.Attr("shard", int64(e.cache.shardIndex(key)))
-		if hit {
-			sp.Note("hit").End()
-			e.stats.hit()
-			return v, true, nil, time.Since(start)
-		}
-		if leader {
-			sp.Note("miss-leader").End()
-			v, err := e.runLeader(ctx, solver, key, f, t, start)
-			elapsed := time.Since(start)
-			switch {
-			case err == nil:
-				e.stats.solved(elapsed)
-				return v, false, nil, elapsed
-			case errors.Is(err, errSolveAborted):
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					e.stats.canceledJob()
-					return nil, false, ctxErr, elapsed
-				}
-				e.stats.timedOut()
-				return nil, false, fmt.Errorf("%w after %v", ErrTimeout, e.opts.JobTimeout), elapsed
-			default:
-				e.stats.failed()
-				return nil, false, err, elapsed
-			}
-		}
-		// Follower: wait for the leader's result, our own deadline or
-		// our own cancellation, whichever first. Leaving early frees
-		// this worker; the flight lives on its leader's worker.
-		sp.Note("follower").End()
-		if timer == nil && e.opts.JobTimeout > 0 {
-			timer = time.NewTimer(e.opts.JobTimeout - time.Since(start))
-			defer timer.Stop()
-			timeout = timer.C
-		}
-		wait := tr.StartSpan("flight.wait")
-		select {
-		case <-f.done:
-			if errors.Is(f.err, errSolveAborted) {
-				wait.Note("retry").End()
-				continue // leader gave up; retry, possibly as new leader
-			}
-			if f.err != nil {
-				wait.Note("error").End()
-				e.stats.failed()
-				return nil, false, f.err, time.Since(start)
-			}
-			wait.Note("dedup").End()
-			e.stats.dedupedHit()
-			return f.v, true, nil, time.Since(start)
-		case <-timeout:
-			wait.Note("timeout").End()
-			e.stats.timedOut()
-			return nil, false, fmt.Errorf("%w after %v", ErrTimeout, e.opts.JobTimeout), time.Since(start)
-		case <-ctx.Done():
-			wait.Note("canceled").End()
-			e.stats.canceledJob()
-			return nil, false, ctx.Err(), time.Since(start)
-		}
+	sp := tr.StartSpan("cache.lookup")
+	v, hit := e.cache.get(key)
+	sp.Attr("shard", int64(e.cache.shardIndex(key)))
+	if hit {
+		sp.Note("hit").End()
+		e.stats.hit()
+		return v, true, nil, time.Since(start)
 	}
-}
+	sp.Note("miss").End()
 
-// runLeader executes the flight's solve on the calling worker and
-// completes the flight. The solve context combines the job context
-// with the per-job deadline (measured from dequeue); a solve that
-// returns because that context fired is mapped to errSolveAborted so
-// followers know to retry rather than propagate a stranger's
-// cancellation.
-func (e *Engine) runLeader(ctx context.Context, solver *core.Solver, key cacheKey, f *flight, t task, start time.Time) (any, error) {
 	solveCtx := ctx
-	var cancel context.CancelFunc
 	if e.opts.JobTimeout > 0 {
+		var cancel context.CancelFunc
 		solveCtx, cancel = context.WithDeadline(ctx, start.Add(e.opts.JobTimeout))
+		defer cancel()
 	}
-	sp := obs.FromContext(ctx).StartSpan("solve")
-	var v any
+	sp = tr.StartSpan("solve")
 	var err error
-	// Soak builds may arm a fault injector; it runs on the leader so
-	// an injected stall or failure is shared by the whole flight,
-	// exactly like an organic slow or failing solve.
+	// Soak builds may arm a fault injector; it runs before every
+	// solve, so an injected stall or failure looks exactly like an
+	// organic slow or failing solve.
 	if inj := e.opts.Faults; inj != nil {
 		err = inj.BeforeSolve(solveCtx)
 	}
@@ -511,22 +433,26 @@ func (e *Engine) runLeader(ctx context.Context, solver *core.Solver, key cacheKe
 			v, err = e.solveLoop(solveCtx, solver, t.loop)
 		}
 	}
-	if cancel != nil {
-		cancel()
-	}
-	if err != nil && solveCtx.Err() != nil &&
-		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		err = errSolveAborted
-	}
+	elapsed := time.Since(start)
+	aborted := err != nil && solveCtx.Err() != nil &&
+		(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 	switch {
 	case err == nil:
-		sp.Note("ok")
-	case errors.Is(err, errSolveAborted):
-		sp.Note("aborted")
+		sp.Note("ok").End()
+		e.cache.put(key, v)
+		e.stats.solved(elapsed)
+		return v, false, nil, elapsed
+	case !aborted:
+		sp.Note("error").End()
+		e.stats.failed()
+		return nil, false, err, elapsed
+	case ctx.Err() != nil:
+		sp.Note("aborted").End()
+		e.stats.canceledJob()
+		return nil, false, ctx.Err(), elapsed
 	default:
-		sp.Note("error")
+		sp.Note("aborted").End()
+		e.stats.timedOut()
+		return nil, false, fmt.Errorf("%w after %v", ErrTimeout, e.opts.JobTimeout), elapsed
 	}
-	sp.End()
-	e.cache.complete(key, f, v, err)
-	return v, err
 }

@@ -184,59 +184,6 @@ func TestCacheIsolation(t *testing.T) {
 	}
 }
 
-// TestSingleFlight checks that concurrent identical jobs share one
-// solve instead of all missing the cold cache.
-func TestSingleFlight(t *testing.T) {
-	const jobs = 8
-	e := New(Options{Workers: jobs})
-	defer e.Close()
-
-	var solves atomic.Int64
-	e.solve = func(ctx context.Context, s *core.Solver, r Request) (*core.Result, error) {
-		solves.Add(1)
-		time.Sleep(20 * time.Millisecond) // hold the flight open
-		return s.Allocate(ctx, r.Pattern, r.config())
-	}
-
-	req := Request{Pattern: model.PaperExample(), AGU: model.AGUSpec{Registers: 2, ModifyRange: 1}}
-	var wg sync.WaitGroup
-	results := make([]JobResult, jobs)
-	for i := 0; i < jobs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = e.Run(context.Background(), req)
-		}(i)
-	}
-	wg.Wait()
-
-	hits := 0
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("job %d: %v", i, res.Err)
-		}
-		if res.CacheHit {
-			hits++
-		}
-	}
-	if n := solves.Load(); n != 1 {
-		t.Fatalf("%d solves for %d concurrent identical jobs, want 1", n, jobs)
-	}
-	if hits != jobs-1 {
-		t.Fatalf("%d jobs reported as hits, want %d (all but the leader)", hits, jobs-1)
-	}
-	s := e.Stats()
-	if s.Deduped != jobs-1 {
-		t.Fatalf("stats deduped = %d, want %d (every follower)", s.Deduped, jobs-1)
-	}
-	if s.CacheMisses != 1 {
-		t.Fatalf("stats misses = %d, want 1 (the leader)", s.CacheMisses)
-	}
-	if s.CacheHits != jobs-1 {
-		t.Fatalf("stats hits = %d, want %d (dedupe counts as hits)", s.CacheHits, jobs-1)
-	}
-}
-
 // TestConcurrentMixedLoad hammers Run, RunBatch and Stats from many
 // goroutines; run under -race this is the engine's data-race test.
 func TestConcurrentMixedLoad(t *testing.T) {
@@ -412,8 +359,9 @@ func TestJobTimeout(t *testing.T) {
 
 // TestTimeoutKeepsWorkerOccupied pins the bounded-concurrency rule
 // for solves that ignore their cancellation context: such a solve
-// keeps its worker busy (solves only ever run on leader workers), so
-// later jobs cannot pile extra solves on top of it.
+// keeps its worker busy (solves only ever run on the worker that
+// dequeued the job), so later jobs cannot pile extra solves on top of
+// it.
 func TestTimeoutKeepsWorkerOccupied(t *testing.T) {
 	e := New(Options{Workers: 1, JobTimeout: time.Millisecond, CacheSize: -1})
 	var concurrent, peak atomic.Int64
@@ -515,14 +463,13 @@ func TestCancellationFreesWorker(t *testing.T) {
 	}
 }
 
-// TestShardedCacheSingleFlightRace hammers the sharded cache and its
-// folded-in single-flight tables from 64 goroutines with heavily
-// overlapping keys (including translated duplicates). Run under
+// TestShardedCacheRace hammers the sharded cache from 64 goroutines
+// with heavily overlapping keys (including translated duplicates), so
+// concurrent identical misses race to put the same entry. Run under
 // -race this is the cache's data-race test; the counter identity
 // checked afterwards pins that every request was answered exactly
-// once — deduped followers included — with no outcome lost between
-// shards.
-func TestShardedCacheSingleFlightRace(t *testing.T) {
+// once, with no outcome lost between shards.
+func TestShardedCacheRace(t *testing.T) {
 	e := New(Options{Workers: 8})
 	defer e.Close()
 
@@ -536,7 +483,7 @@ func TestShardedCacheSingleFlightRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				// 8 canonical identities; every other request is a
-				// translated duplicate, so hits, misses and dedups all
+				// translated duplicate, so hits and misses of one key
 				// occur concurrently.
 				base := (g + i) % 8
 				shift := (i % 2) * 10
@@ -558,11 +505,8 @@ func TestShardedCacheSingleFlightRace(t *testing.T) {
 		t.Fatalf("stats.Jobs = %d, want %d", s.Jobs, total)
 	}
 	if s.CacheHits+s.CacheMisses != total {
-		t.Fatalf("hits %d + misses %d != %d requests (deduped %d)",
-			s.CacheHits, s.CacheMisses, total, s.Deduped)
-	}
-	if s.Deduped > s.CacheHits {
-		t.Fatalf("deduped %d exceeds hits %d", s.Deduped, s.CacheHits)
+		t.Fatalf("hits %d + misses %d != %d requests",
+			s.CacheHits, s.CacheMisses, total)
 	}
 	if s.Errors != 0 || s.Timeouts != 0 || s.Canceled != 0 {
 		t.Fatalf("unexpected failure counters: %+v", s)

@@ -45,10 +45,10 @@ func TestFaultInjectionErrors(t *testing.T) {
 	}
 }
 
-// TestFaultInjectionDelayOnLeaderOnly: an injected stall slows the
-// single-flight leader; a subsequent identical request hits the cache
-// and pays nothing.
-func TestFaultInjectionDelayOnLeaderOnly(t *testing.T) {
+// TestFaultInjectionDelayOnMissOnly: an injected stall slows the
+// cache miss that solves; a subsequent identical request hits the
+// cache and pays nothing.
+func TestFaultInjectionDelayOnMissOnly(t *testing.T) {
 	inj, err := faults.Parse("delay=50ms")
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +72,6 @@ func TestFaultInjectionDelayOnLeaderOnly(t *testing.T) {
 		t.Fatalf("warm request: hit=%v err=%v", res.CacheHit, res.Err)
 	}
 	if warm := time.Since(start); warm > 40*time.Millisecond {
-		t.Fatalf("cache hit took %v — injection leaked past the leader", warm)
+		t.Fatalf("cache hit took %v — injection leaked onto the hit path", warm)
 	}
 }

@@ -94,8 +94,7 @@ func (e *Engine) processLoop(ctx context.Context, solver *core.Solver, req LoopR
 		return LoopJobResult{Err: err, Elapsed: elapsed}
 	}
 	// Always hand out a rewritten copy — the solved value lives in the
-	// cache (and in concurrent followers), so the caller must never
-	// see the shared pointer.
+	// cache, so the caller must never see the shared pointer.
 	sp = tr.StartSpan("result.rewrite")
 	out := rewriteLoop(v.(*core.LoopResult), req)
 	sp.End()

@@ -105,7 +105,7 @@ func TestEngineOverloadedEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Distinct patterns so nothing dedupes into one flight.
+			// Distinct patterns so no job is a cache hit.
 			e.Run(context.Background(), testRequest(i+1, 0, 2))
 		}(i)
 	}

@@ -18,16 +18,10 @@ type Stats struct {
 	Workers int `json:"workers"`
 	// Jobs counts completed jobs of every outcome.
 	Jobs uint64 `json:"jobs"`
-	// CacheHits counts jobs answered without running their own solve:
-	// from the canonical-pattern cache, or by sharing a concurrent
-	// identical job's solve (single-flight).
+	// CacheHits counts jobs answered from the canonical-pattern cache.
 	CacheHits uint64 `json:"cacheHits"`
 	// CacheMisses counts jobs that ran the solver (successfully).
 	CacheMisses uint64 `json:"cacheMisses"`
-	// Deduped is the subset of CacheHits served by single-flight
-	// deduplication: the job missed the cache but attached to a
-	// concurrent identical solve instead of starting its own.
-	Deduped uint64 `json:"deduped"`
 	// Errors counts jobs failed by the allocator or a bad request.
 	Errors uint64 `json:"errors"`
 	// Timeouts counts jobs abandoned past the per-job deadline.
@@ -64,11 +58,10 @@ type collector struct {
 	jobs     atomic.Uint64
 	hits     atomic.Uint64
 	misses   atomic.Uint64
-	deduped  atomic.Uint64
 	errors   atomic.Uint64
 	timeouts atomic.Uint64
 	canceled atomic.Uint64
-	// solveHist holds the latency of every successful leader solve;
+	// solveHist holds the latency of every successful solve;
 	// the snapshot percentiles and /metrics both read it.
 	solveHist *obs.Histogram
 }
@@ -82,14 +75,6 @@ func newSolveHistogram() *obs.Histogram {
 func (c *collector) hit() {
 	c.jobs.Add(1)
 	c.hits.Add(1)
-}
-
-// dedupedHit records a single-flight follower: answered like a cache
-// hit, counted separately so the dedupe rate is observable.
-func (c *collector) dedupedHit() {
-	c.jobs.Add(1)
-	c.hits.Add(1)
-	c.deduped.Add(1)
 }
 
 func (c *collector) solved(d time.Duration) {
@@ -120,7 +105,6 @@ func (c *collector) snapshot() Stats {
 		Jobs:        c.jobs.Load(),
 		CacheHits:   c.hits.Load(),
 		CacheMisses: c.misses.Load(),
-		Deduped:     c.deduped.Load(),
 		Errors:      c.errors.Load(),
 		Timeouts:    c.timeouts.Load(),
 		Canceled:    c.canceled.Load(),

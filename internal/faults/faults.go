@@ -216,8 +216,8 @@ func (inj *Injector) Rearm(spec string) error {
 	return nil
 }
 
-// BeforeSolve is the engine-side hook, called on the single-flight
-// leader immediately before a real solve. It applies the scheduled
+// BeforeSolve is the engine-side hook, called on a cache miss
+// immediately before the real solve. It applies the scheduled
 // latency (interruptible by ctx, so cancellation still frees the
 // worker promptly) and then the scheduled forced error.
 func (inj *Injector) BeforeSolve(ctx context.Context) error {

@@ -9,7 +9,7 @@
 //
 // Ops mostly reuse specs from a per-generator pool (realistic
 // programs resubmit the same kernels, and reuse is what exercises the
-// engine's canonical cache and single-flight paths), with a fresh
+// engine's canonical cache), with a fresh
 // unique pattern mixed in to keep cold solves flowing.
 
 package workload
@@ -198,7 +198,7 @@ func (m Mix) String() string {
 type TrafficGen struct {
 	rng  *rand.Rand
 	mix  Mix
-	pool []JobSpec // recurring specs: cache hits, single-flight, dedup
+	pool []JobSpec // recurring specs: cache hits
 	// burstSize is the job count of one OpAsyncBurst submission; sized
 	// against the server's queue capacity by the caller.
 	burstSize int
