@@ -25,6 +25,7 @@ import (
 	"dspaddr/internal/indexreg"
 	"dspaddr/internal/merge"
 	"dspaddr/internal/model"
+	"dspaddr/internal/obs"
 	"dspaddr/internal/offsetassign"
 	"dspaddr/internal/pathcover"
 	"dspaddr/internal/workload"
@@ -330,11 +331,15 @@ func BenchmarkIndexedOptimize(b *testing.B) {
 }
 
 // --- batch engine benchmarks ---
+//
+// BenchmarkEngineBatch, BenchmarkEngineParallelWarm and
+// BenchmarkEngineBatchTraced are the CI micro-gate: rcabench -exp
+// bench runs them from the parent's and the change's test binaries in
+// interleaved rounds and compares the medians (see cmd/rcabench).
 
-// BenchmarkEngineBatch measures end-to-end batch throughput on the
-// worker pool: each iteration submits a 64-job batch of distinct
-// patterns (every job misses the cache).
-func BenchmarkEngineBatch(b *testing.B) {
+// engineBatchJobs is the gated benchmarks' shared workload: 64
+// distinct N=20 patterns drawn from seed 11.
+func engineBatchJobs() []engine.Request {
 	rng := rand.New(rand.NewSource(11))
 	jobs := make([]engine.Request, 64)
 	for i := range jobs {
@@ -343,6 +348,14 @@ func BenchmarkEngineBatch(b *testing.B) {
 			AGU:     model.AGUSpec{Registers: 2, ModifyRange: 1},
 		}
 	}
+	return jobs
+}
+
+// BenchmarkEngineBatch measures end-to-end batch throughput on the
+// worker pool: each iteration submits a 64-job batch of distinct
+// patterns (every job misses the cache).
+func BenchmarkEngineBatch(b *testing.B) {
+	jobs := engineBatchJobs()
 	e := engine.New(engine.Options{Workers: 8, CacheSize: -1})
 	defer e.Close()
 	b.ReportAllocs()
@@ -356,21 +369,35 @@ func BenchmarkEngineBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineBatchTraced is BenchmarkEngineBatch with full
+// observability on: every iteration runs under a request trace, so
+// phase spans record throughout the engine and solver. The gate holds
+// it within 10% of the same binary's untraced batch.
+func BenchmarkEngineBatchTraced(b *testing.B) {
+	jobs := engineBatchJobs()
+	e := engine.New(engine.Options{Workers: 8, CacheSize: -1})
+	defer e.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := obs.NewTrace("bench")
+		ctx := obs.NewContext(context.Background(), tr)
+		for _, res := range e.RunBatch(ctx, jobs) {
+			if res.Err != nil {
+				b.Fatal(res.Err)
+			}
+		}
+		tr.Release()
+	}
+}
+
 // BenchmarkEngineParallelWarm measures concurrent hit-dominated
 // traffic against the sharded cache: 8 goroutines each push the same
 // 64-pattern batch through the pool per iteration, everything after
 // the warmup answered from cache. This is the shape that serialized on
-// the old single cache mutex; it mirrors the engine/parallel baseline
-// scenario in BENCH_9.json.
+// the old single cache mutex.
 func BenchmarkEngineParallelWarm(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	jobs := make([]engine.Request, 64)
-	for i := range jobs {
-		jobs[i] = engine.Request{
-			Pattern: randomPatternB(rng, 20),
-			AGU:     model.AGUSpec{Registers: 2, ModifyRange: 1},
-		}
-	}
+	jobs := engineBatchJobs()
 	e := engine.New(engine.Options{Workers: 8})
 	defer e.Close()
 	for _, res := range e.RunBatch(context.Background(), jobs) {

@@ -1,445 +1,301 @@
-// Machine-readable performance baseline (-exp bench): measures the
-// allocator hot paths with testing.Benchmark and emits a JSON document
-// (BENCH_9.json at the repo root is the committed baseline CI gates
-// against). With -bench-against the run fails when any of these holds:
-//   - one of the three gated rows — the cold batch, the warm parallel
-//     engine path or the traced batch — is more than 25% slower than
-//     the committed file (absolute, so it measures the machine too);
-//   - the traced batch costs more than 10% over the same run's
-//     untraced batch;
-//   - the untraced batch gains more than allocSlack allocs/op;
-//   - the WAL'd submit path adds more than 15% p99 over the same run's
-//     in-memory submit path;
-//   - the gateway hop adds more than 1ms p99 over a direct node hit.
+// Regression gates (-exp bench). Every gate compares two measurements
+// taken in the same run on the same machine, so the machine's speed
+// cancels out.
+//
+// The micro-gate runs the root package's engine benchmarks
+// (bench_test.go) from two compiled test binaries: the parent's
+// (-bench-base) and the change's (-bench-head). They run in
+// benchRounds interleaved rounds, and the side that goes first
+// alternates. From the repository root:
+//
+//	git worktree add ../dspaddr-base <parent commit>
+//	(cd ../dspaddr-base && go test -c -o base.test .)
+//	go test -c -o head.test .
+//	go run ./cmd/rcabench -exp bench -bench-base ../dspaddr-base/base.test -bench-head head.test
+//
+// On the medians over the rounds, the run fails when any of these
+// holds:
+//   - a gated benchmark is more than 25% slower in head than in base;
+//   - head's traced batch costs more than 10% over head's untraced
+//     batch;
+//   - head's untraced batch allocates more than allocSlack allocs/op
+//     over base's;
+//   - a gated benchmark is missing from head.
+//
+// A benchmark the base lacks is printed as new and not compared.
+//
+// The HTTP gates measure this binary's own code in paired,
+// interleaved rounds (bench_wal.go, bench_gateway.go). The run fails
+// when the WAL'd submit path adds more than 15% p99 over the in-memory
+// submit path, or when the gateway hop adds more than 1ms p99 over a
+// direct node hit.
 //
 // The bench mode is deliberately not part of "-exp all": it spends
-// several seconds of wall-clock measurement, which the paper tables do
-// not need.
+// minutes of wall-clock measurement, which the paper tables do not
+// need.
 
 package main
 
 import (
-	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"math/rand"
-	"os"
-	"runtime"
+	"os/exec"
+	"path/filepath"
 	"sort"
-	"sync"
-	"testing"
-
-	"dspaddr/internal/distgraph"
-	"dspaddr/internal/engine"
-	"dspaddr/internal/merge"
-	"dspaddr/internal/model"
-	"dspaddr/internal/obs"
-	"dspaddr/internal/pathcover"
-	"dspaddr/internal/workload"
+	"strconv"
+	"strings"
 )
 
-// benchSchema versions the baseline file format.
-const benchSchema = 1
-
-// batchBenchKey and parallelBenchKey are the entries the regression
-// gate checks: the end-to-end cold-cache batch throughput of the
-// serving engine, and the warm hit-dominated parallel path across the
-// sharded cache. batchObsBenchKey is the same cold batch run under a
-// per-request trace with the solve histogram attached — the
-// instrumented request path.
+// The gated benchmarks: the end-to-end cold-cache batch through the
+// serving engine, the warm hit-dominated parallel path across the
+// sharded cache, and the cold batch under a per-request trace.
 const (
-	batchBenchKey    = "engine/batch/64xN20"
-	parallelBenchKey = "engine/parallel/8x64xN20"
-	batchObsBenchKey = "engine/batch-obs/64xN20"
+	batchBench    = "BenchmarkEngineBatch"
+	parallelBench = "BenchmarkEngineParallelWarm"
+	tracedBench   = "BenchmarkEngineBatchTraced"
 )
 
-// gatedBenchKeys lists every scenario -bench-against fails on.
-var gatedBenchKeys = []string{batchBenchKey, parallelBenchKey, batchObsBenchKey}
+var gatedBenchmarks = []string{batchBench, parallelBench, tracedBench}
 
-// regressionTolerance is how much slower (fractionally) a gated
-// benchmark may get before -bench-against fails the run.
+// benchRounds is how many times each test binary runs the gated set.
+const benchRounds = 6
+
+// regressionTolerance is how much slower (fractionally) head's median
+// of a gated benchmark may be than base's.
 const regressionTolerance = 0.25
 
-// obsOverheadTolerance bounds the instrumented batch against the
-// SAME run's untraced batch (a within-run ratio, so machine speed
-// cancels out): tracing every phase of 64 jobs may cost at most this
-// fraction extra.
+// obsOverheadTolerance bounds head's traced batch against head's
+// untraced batch: tracing every phase of 64 jobs may cost at most
+// this fraction extra.
 const obsOverheadTolerance = 0.10
 
-// allocSlack is how many allocs/op the untraced batch may drift above
-// the committed baseline before the gate fails — the "observability
-// hooks disabled = zero extra allocations" guarantee, with a little
-// room for scheduler-dependent map growth.
+// allocSlack is how many allocs/op head's untraced batch may gain over
+// base's: the "observability hooks disabled = zero extra allocations"
+// guarantee, with a little room for scheduler-dependent map growth.
 const allocSlack = 8
 
-// benchEntry is one benchmark's measured costs. P99NsPerOp is only
-// populated by the hand-timed jobs/submit-* scenarios (bench_wal.go);
-// testing.Benchmark reports means only. P99OverheadPct appears on the
-// gated WAL scenario alone: the median paired-round p99 overhead
-// against the no-WAL twin from the same run, which is the statistic
-// the durability gate enforces.
-type benchEntry struct {
-	NsPerOp        float64 `json:"nsPerOp"`
-	AllocsPerOp    int64   `json:"allocsPerOp"`
-	BytesPerOp     int64   `json:"bytesPerOp"`
-	P99NsPerOp     float64 `json:"p99NsPerOp,omitempty"`
-	P99OverheadPct float64 `json:"p99OverheadPct,omitempty"`
-	// P99HopDeltaNs appears on the gated gateway/forward scenario
-	// alone: the median paired-round p99 delta (forwarded minus
-	// direct, nanoseconds) the cluster-hop gate enforces
-	// (bench_gateway.go).
-	P99HopDeltaNs float64 `json:"p99HopDeltaNs,omitempty"`
+// benchSamples is one benchmark's results from one side, one entry
+// per round.
+type benchSamples struct {
+	ns, allocs []float64
 }
 
-// benchBaseline is the BENCH_*.json document.
-type benchBaseline struct {
-	Schema     int                   `json:"schema"`
-	GoVersion  string                `json:"goVersion"`
-	GOOS       string                `json:"goos"`
-	GOARCH     string                `json:"goarch"`
-	Benchmarks map[string]benchEntry `json:"benchmarks"`
-}
+// benchRuns maps a benchmark name, GOMAXPROCS suffix stripped, to its
+// samples.
+type benchRuns map[string]*benchSamples
 
-// wideMergeInput builds the ~48-singleton-path phase-2 workload of
-// BenchmarkGreedyMergeLarge (workload.WideMergePattern, shared with
-// the in-package benchmarks so every surface measures the same
-// input).
-func wideMergeInput() ([]model.Path, model.Pattern, error) {
-	pat := workload.WideMergePattern()
-	dg, err := distgraph.Build(pat, 1)
-	if err != nil {
-		return nil, model.Pattern{}, err
-	}
-	return pathcover.MinCoverDAG(dg), pat, nil
-}
-
-// measureBaseline runs every baseline benchmark and collects the
-// results. Each case takes ~1s of measurement (testing.Benchmark's
-// default budget).
-func measureBaseline() (benchBaseline, error) {
-	base := benchBaseline{
-		Schema:     benchSchema,
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		Benchmarks: map[string]benchEntry{},
-	}
-
-	record := func(name string, r testing.BenchmarkResult) {
-		base.Benchmarks[name] = benchEntry{
-			NsPerOp:     float64(r.NsPerOp()),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
-	}
-
-	// Phase 1, intra-iteration objective: polynomial matching cover.
-	dagPat := workload.BenchPattern(rand.New(rand.NewSource(50)), 50)
-	dagGraph, err := distgraph.Build(dagPat, 1)
-	if err != nil {
-		return base, err
-	}
-	record("cover/dag/N=50", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			pathcover.MinCoverDAG(dagGraph)
-		}
-	}))
-
-	// Phase 1, wrap objective: branch-and-bound search.
-	bbPat := workload.BenchPattern(rand.New(rand.NewSource(20)), 20)
-	bbGraph, err := distgraph.Build(bbPat, 1)
-	if err != nil {
-		return base, err
-	}
-	record("cover/bb/N=20", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			pathcover.MinCover(bbGraph, true, nil)
-		}
-	}))
-
-	// Phase 2: incremental greedy merge of ~48 paths down to 4.
-	mergePaths, mergePat, err := wideMergeInput()
-	if err != nil {
-		return base, err
-	}
-	record("merge/greedy/R=48", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := merge.Reduce(merge.Greedy{}, mergePaths, mergePat, 1, false, 4); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-
-	// End to end: a 64-job batch of distinct patterns through the
-	// worker pool, cache disabled so every job solves.
-	rng := rand.New(rand.NewSource(11))
-	jobs := make([]engine.Request, 64)
-	for i := range jobs {
-		jobs[i] = engine.Request{
-			Pattern: workload.BenchPattern(rng, 20),
-			AGU:     model.AGUSpec{Registers: 2, ModifyRange: 1},
-		}
-	}
-	eng := engine.New(engine.Options{Workers: 8, CacheSize: -1})
-	defer eng.Close()
-	record(batchBenchKey, testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, res := range eng.RunBatch(context.Background(), jobs) {
-				if res.Err != nil {
-					b.Fatal(res.Err)
-				}
-			}
-		}
-	}))
-
-	// The same cold batch with full observability on: every iteration
-	// runs under a request trace (phase spans record throughout the
-	// engine and solver). compareBaselines holds this within
-	// obsOverheadTolerance of the untraced batch above.
-	obsEng := engine.New(engine.Options{Workers: 8, CacheSize: -1})
-	defer obsEng.Close()
-	record(batchObsBenchKey, testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tr := obs.NewTrace("bench")
-			ctx := obs.NewContext(context.Background(), tr)
-			for _, res := range obsEng.RunBatch(ctx, jobs) {
-				if res.Err != nil {
-					b.Fatal(res.Err)
-				}
-			}
-			tr.Release()
-		}
-	}))
-
-	// Hit path: one request served from the warm canonical cache —
-	// key build, one shard-local lookup and the result rewrite.
-	warm := engine.New(engine.Options{Workers: 8})
-	defer warm.Close()
-	if res := warm.Run(context.Background(), jobs[0]); res.Err != nil {
-		return base, res.Err
-	}
-	record("engine/hit/N20", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res := warm.Run(context.Background(), jobs[0])
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
-			if !res.CacheHit {
-				b.Fatal("expected a cache hit")
-			}
-		}
-	}))
-
-	// Parallel engine: 8 goroutines push the full 64-pattern batch
-	// through the pool concurrently, hit-dominated after warmup. This
-	// is the scenario that serialized on the old single cache mutex;
-	// it is gated alongside the cold batch.
-	par := engine.New(engine.Options{Workers: 8})
-	defer par.Close()
-	for _, res := range par.RunBatch(context.Background(), jobs) {
-		if res.Err != nil {
-			return base, res.Err
-		}
-	}
-	record(parallelBenchKey, testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for _, res := range par.RunBatch(context.Background(), jobs) {
-						if res.Err != nil {
-							b.Error(res.Err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-		}
-	}))
-
-	// Async admission with and without the write-ahead log — the
-	// durability tax on the submit path, gated at p99 (bench_wal.go).
-	if err := measureSubmitScenarios(func(name string, e benchEntry) {
-		base.Benchmarks[name] = e
-	}); err != nil {
-		return base, err
-	}
-
-	// The cluster gateway hop against a direct node hit — the fleet
-	// tax on the request path, gated at an absolute p99 delta
-	// (bench_gateway.go).
-	if err := measureGatewayScenarios(func(name string, e benchEntry) {
-		base.Benchmarks[name] = e
-	}); err != nil {
-		return base, err
-	}
-
-	return base, nil
-}
-
-// renderBaseline prints the baseline as an aligned text table.
-func renderBaseline(out io.Writer, base benchBaseline) {
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(out, "baseline (%s %s/%s)\n", base.GoVersion, base.GOOS, base.GOARCH)
-	for _, name := range names {
-		e := base.Benchmarks[name]
-		fmt.Fprintf(out, "  %-26s %14.0f ns/op %8d allocs/op %10d B/op",
-			name, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp)
-		if e.P99NsPerOp > 0 {
-			fmt.Fprintf(out, " %14.0f p99 ns/op", e.P99NsPerOp)
-		}
-		if e.P99OverheadPct != 0 {
-			fmt.Fprintf(out, " %+6.1f%% p99 paired", e.P99OverheadPct)
-		}
-		if e.P99HopDeltaNs != 0 {
-			fmt.Fprintf(out, " %+9.0f ns p99 hop", e.P99HopDeltaNs)
-		}
-		fmt.Fprintln(out)
-	}
-}
-
-// loadBaseline reads a committed BENCH_*.json.
-func loadBaseline(path string) (benchBaseline, error) {
-	var base benchBaseline
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return base, err
-	}
-	if err := json.Unmarshal(data, &base); err != nil {
-		return base, fmt.Errorf("parse %s: %w", path, err)
-	}
-	if base.Schema != benchSchema {
-		return base, fmt.Errorf("%s: schema %d, this binary speaks %d", path, base.Schema, benchSchema)
-	}
-	return base, nil
-}
-
-// compareBaselines reports per-benchmark deltas and fails when any
-// gated benchmark regressed beyond the tolerance.
-func compareBaselines(out io.Writer, fresh, committed benchBaseline) error {
-	names := make([]string, 0, len(fresh.Benchmarks))
-	for name := range fresh.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		got := fresh.Benchmarks[name]
-		was, ok := committed.Benchmarks[name]
-		if !ok || was.NsPerOp <= 0 {
-			fmt.Fprintf(out, "  %-24s %14.0f ns/op (no committed baseline)\n", name, got.NsPerOp)
+// parse adds the result lines of one `go test -bench -benchmem` output
+// to runs; every other line is ignored.
+func (runs benchRuns) parse(text string) {
+	for _, line := range strings.Split(text, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
 			continue
 		}
-		fmt.Fprintf(out, "  %-24s %14.0f ns/op vs %14.0f committed (%+.1f%%)\n",
-			name, got.NsPerOp, was.NsPerOp, 100*(got.NsPerOp-was.NsPerOp)/was.NsPerOp)
-	}
-	for _, key := range gatedBenchKeys {
-		got, ok := fresh.Benchmarks[key]
-		was, wasOK := committed.Benchmarks[key]
-		if !ok || !wasOK || was.NsPerOp <= 0 {
-			return fmt.Errorf("baseline gate: %q missing from fresh or committed baseline", key)
+		if _, err := strconv.Atoi(f[1]); err != nil {
+			continue
 		}
-		if got.NsPerOp > was.NsPerOp*(1+regressionTolerance) {
-			return fmt.Errorf("baseline gate: %s regressed %.1f%% (%.0f -> %.0f ns/op, tolerance %.0f%%)",
-				key, 100*(got.NsPerOp-was.NsPerOp)/was.NsPerOp,
-				was.NsPerOp, got.NsPerOp, 100*regressionTolerance)
+		name := stripProcs(f[0])
+		s := runs[name]
+		if s == nil {
+			s = &benchSamples{}
+			runs[name] = s
 		}
-	}
-
-	// Instrumented-path overhead: traced vs untraced batch within the
-	// SAME fresh run, so the bound is machine-independent.
-	plain, obsRun := fresh.Benchmarks[batchBenchKey], fresh.Benchmarks[batchObsBenchKey]
-	if plain.NsPerOp > 0 && obsRun.NsPerOp > 0 {
-		overhead := (obsRun.NsPerOp - plain.NsPerOp) / plain.NsPerOp
-		fmt.Fprintf(out, "  tracing overhead: %+.1f%% (%s vs %s, tolerance %.0f%%)\n",
-			100*overhead, batchObsBenchKey, batchBenchKey, 100*obsOverheadTolerance)
-		if overhead > obsOverheadTolerance {
-			return fmt.Errorf("baseline gate: tracing overhead %.1f%% exceeds %.0f%% (%s %.0f ns/op vs %s %.0f ns/op)",
-				100*overhead, 100*obsOverheadTolerance,
-				batchObsBenchKey, obsRun.NsPerOp, batchBenchKey, plain.NsPerOp)
+		for i := 2; i+1 < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				continue
+			}
+			switch f[i+1] {
+			case "ns/op":
+				s.ns = append(s.ns, v)
+			case "allocs/op":
+				s.allocs = append(s.allocs, v)
+			}
 		}
 	}
-
-	// Untraced path must not pick up allocations from the hooks.
-	if was, ok := committed.Benchmarks[batchBenchKey]; ok && was.AllocsPerOp > 0 {
-		if plain.AllocsPerOp > was.AllocsPerOp+allocSlack {
-			return fmt.Errorf("baseline gate: %s allocates %d/op vs committed %d/op — the disabled-hook path must stay allocation-free",
-				batchBenchKey, plain.AllocsPerOp, was.AllocsPerOp)
-		}
-	}
-
-	// Durability tax: the WAL'd submit path (production fsync=interval
-	// policy) against the same fresh run's in-memory submit path, at
-	// the 99th percentile. The statistic is the median of paired
-	// interleaved-round p99 ratios computed by measureSubmitScenarios —
-	// a within-run ratio, so disk and CPU speed cancel out, and a
-	// paired one, so environment drift mid-run cancels too.
-	if durable, ok := fresh.Benchmarks[submitWALBenchKey]; ok && durable.P99NsPerOp > 0 {
-		fmt.Fprintf(out, "  wal submit p99 overhead: %+.1f%% (median paired-round ratio, %s vs %s, tolerance %.0f%%)\n",
-			durable.P99OverheadPct, submitWALBenchKey, submitNoWALBenchKey, 100*walOverheadTolerance)
-		if durable.P99OverheadPct > 100*walOverheadTolerance {
-			return fmt.Errorf("baseline gate: wal submit p99 overhead %+.1f%% exceeds %.0f%% — fsync=interval durability must stay within %.0f%% of the in-memory submit path",
-				durable.P99OverheadPct, 100*walOverheadTolerance, 100*walOverheadTolerance)
-		}
-	}
-
-	// Fleet tax: the gateway hop against the same fresh run's direct
-	// node hit, gated as an ABSOLUTE median paired-round p99 delta —
-	// the hop's price does not scale with solve time, so a fixed
-	// ceiling is the honest bound (bench_gateway.go).
-	if fwd, ok := fresh.Benchmarks[fwdGatewayBenchKey]; ok && fwd.P99NsPerOp > 0 {
-		fmt.Fprintf(out, "  gateway hop p99 delta: %+.0f ns (median paired-round, %s vs %s, ceiling %.0f ns)\n",
-			fwd.P99HopDeltaNs, fwdGatewayBenchKey, fwdDirectBenchKey, gatewayHopCeilingNs)
-		if fwd.P99HopDeltaNs > gatewayHopCeilingNs {
-			return fmt.Errorf("baseline gate: gateway hop p99 delta %.0f ns exceeds %.0f ns — the forwarded hop must stay within 1ms of a direct node hit",
-				fwd.P99HopDeltaNs, gatewayHopCeilingNs)
-		}
-	}
-	return nil
 }
 
-// runBench is the -exp bench entry point: measure, optionally persist
-// to -bench-out, optionally gate against -bench-against.
-func runBench(out io.Writer, outPath, againstPath string) error {
-	base, err := measureBaseline()
+// stripProcs drops the "-N" GOMAXPROCS suffix `go test` appends to a
+// benchmark name, so runs on differently sized runners line up.
+func stripProcs(name string) string {
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i]
+		}
+	}
+	return name
+}
+
+// quartiles returns the lower quartile, median and upper quartile of
+// xs, interpolating between order statistics; 0s for no samples.
+func quartiles(xs []float64) (q1, med, q3 float64) {
+	if len(xs) == 0 {
+		return 0, 0, 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	at := func(q float64) float64 {
+		pos := q * float64(len(s)-1)
+		lo := int(pos)
+		if lo+1 == len(s) {
+			return s[lo]
+		}
+		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
+	}
+	return at(0.25), at(0.5), at(0.75)
+}
+
+func median(xs []float64) float64 {
+	_, m, _ := quartiles(xs)
+	return m
+}
+
+// formatSide renders one side's median ns/op with its IQR and its
+// median allocs/op.
+func formatSide(s *benchSamples) string {
+	q1, m, q3 := quartiles(s.ns)
+	return fmt.Sprintf("%11.0f ns/op [%.0f–%.0f] %6.0f allocs/op", m, q1, q3, median(s.allocs))
+}
+
+// compareRuns prints every benchmark's medians and fails when a gate
+// is breached; every breach is reported, not just the first.
+func compareRuns(out io.Writer, base, head benchRuns) error {
+	names := make([]string, 0, len(head))
+	for name := range head {
+		names = append(names, name)
+	}
+	for name := range base {
+		if head[name] == nil {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		b, h := base[name], head[name]
+		switch {
+		case h == nil:
+			fmt.Fprintf(out, "  %-28s base %s  head missing\n", name, formatSide(b))
+		case b == nil:
+			fmt.Fprintf(out, "  %-28s head %s  new: not in base\n", name, formatSide(h))
+		default:
+			fmt.Fprintf(out, "  %-28s base %s  head %s  ratio %.3f\n",
+				name, formatSide(b), formatSide(h), median(h.ns)/median(b.ns))
+		}
+	}
+
+	var fails []error
+	for _, name := range gatedBenchmarks {
+		b, h := base[name], head[name]
+		if h == nil {
+			fails = append(fails, fmt.Errorf("micro-gate: %s missing from head", name))
+			continue
+		}
+		if b == nil {
+			continue
+		}
+		if r := median(h.ns) / median(b.ns); r > 1+regressionTolerance {
+			fails = append(fails, fmt.Errorf("micro-gate: %s is %.1f%% slower than base (%.0f -> %.0f ns/op, tolerance %.0f%%)",
+				name, 100*(r-1), median(b.ns), median(h.ns), 100*regressionTolerance))
+		}
+	}
+
+	if plain, traced := head[batchBench], head[tracedBench]; plain != nil && traced != nil {
+		overhead := median(traced.ns)/median(plain.ns) - 1
+		fmt.Fprintf(out, "  tracing overhead: %+.1f%% (head %s vs %s, tolerance %.0f%%)\n",
+			100*overhead, tracedBench, batchBench, 100*obsOverheadTolerance)
+		if overhead > obsOverheadTolerance {
+			fails = append(fails, fmt.Errorf("micro-gate: tracing overhead %.1f%% exceeds %.0f%%",
+				100*overhead, 100*obsOverheadTolerance))
+		}
+	}
+
+	if b, h := base[batchBench], head[batchBench]; b != nil && h != nil {
+		if median(h.allocs) > median(b.allocs)+allocSlack {
+			fails = append(fails, fmt.Errorf("micro-gate: %s allocates %.0f/op vs base %.0f/op — the disabled-hook path must stay allocation-free",
+				batchBench, median(h.allocs), median(b.allocs)))
+		}
+	}
+	return errors.Join(fails...)
+}
+
+// runRounds runs both test binaries benchRounds times, alternating
+// which goes first, echoes each raw output to out and returns the
+// parsed results.
+func runRounds(out io.Writer, baseBin, headBin string) (base, head benchRuns, err error) {
+	base, head = benchRuns{}, benchRuns{}
+	sides := []struct {
+		name, bin, path string
+		runs            benchRuns
+	}{{"base", baseBin, "", base}, {"head", headBin, "", head}}
+	for i := range sides {
+		// An absolute path, so exec never searches $PATH for a bare
+		// file name.
+		if sides[i].path, err = filepath.Abs(sides[i].bin); err != nil {
+			return nil, nil, err
+		}
+	}
+	pattern := "^(" + strings.Join(gatedBenchmarks, "|") + ")$"
+	for r := 0; r < benchRounds; r++ {
+		for i := range sides {
+			s := sides[(r+i)%len(sides)]
+			raw, err := exec.Command(s.path, "-test.run", "^$", "-test.bench", pattern,
+				"-test.benchmem", "-test.count", "1").CombinedOutput()
+			fmt.Fprintf(out, "--- round %d/%d %s (%s)\n%s", r+1, benchRounds, s.name, s.bin, raw)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%s %s: %w", s.name, s.bin, err)
+			}
+			s.runs.parse(string(raw))
+		}
+	}
+	return base, head, nil
+}
+
+// checkHTTPGates applies the two HTTP bounds to their measured
+// statistics.
+func checkHTTPGates(out io.Writer, walOverheadPct, hopDeltaNs float64) error {
+	var fails []error
+	fmt.Fprintf(out, "  wal submit p99 overhead: %+.1f%% (median paired-round ratio, %s vs %s, tolerance %.0f%%)\n",
+		walOverheadPct, submitWALBenchKey, submitNoWALBenchKey, 100*walOverheadTolerance)
+	if walOverheadPct > 100*walOverheadTolerance {
+		fails = append(fails, fmt.Errorf("http gate: wal submit p99 overhead %+.1f%% exceeds %.0f%% — fsync=interval durability must stay within %.0f%% of the in-memory submit path",
+			walOverheadPct, 100*walOverheadTolerance, 100*walOverheadTolerance))
+	}
+	fmt.Fprintf(out, "  gateway hop p99 delta: %+.0f ns (median paired-round, %s vs %s, ceiling %.0f ns)\n",
+		hopDeltaNs, fwdGatewayBenchKey, fwdDirectBenchKey, gatewayHopCeilingNs)
+	if hopDeltaNs > gatewayHopCeilingNs {
+		fails = append(fails, fmt.Errorf("http gate: gateway hop p99 delta %.0f ns exceeds %.0f ns — the forwarded hop must stay within 1ms of a direct node hit",
+			hopDeltaNs, gatewayHopCeilingNs))
+	}
+	return errors.Join(fails...)
+}
+
+// runBench is the -exp bench entry point: the micro-gate on the two
+// test binaries, then the HTTP gates. Every breach is reported.
+func runBench(out io.Writer, baseBin, headBin string) error {
+	if baseBin == "" || headBin == "" {
+		return errors.New("-exp bench needs -bench-base and -bench-head (root package test binaries; see cmd/rcabench/bench.go)")
+	}
+	base, head, err := runRounds(out, baseBin, headBin)
 	if err != nil {
 		return err
 	}
-	renderBaseline(out, base)
-	if outPath != "" {
-		data, err := json.MarshalIndent(base, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "baseline written to %s\n", outPath)
+	fmt.Fprintf(out, "micro-gate: medians over %d interleaved rounds, [IQR]\n", benchRounds)
+	microErr := compareRuns(out, base, head)
+
+	fmt.Fprintln(out, "http gates:")
+	walPct, err := measureSubmitScenarios(out)
+	if err != nil {
+		return err
 	}
-	if againstPath != "" {
-		committed, err := loadBaseline(againstPath)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "against %s:\n", againstPath)
-		if err := compareBaselines(out, base, committed); err != nil {
-			return err
-		}
-		fmt.Fprintln(out, "baseline gate passed")
+	hopNs, err := measureGatewayScenarios(out)
+	if err != nil {
+		return err
 	}
+	if err := errors.Join(microErr, checkHTTPGates(out, walPct, hopNs)); err != nil {
+		return err
+	}
+	fmt.Fprintln(out, "bench gates passed")
 	return nil
 }

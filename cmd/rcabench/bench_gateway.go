@@ -1,4 +1,4 @@
-// Gateway hop baseline (-exp bench, the gateway/* scenarios): what
+// Gateway hop gate (-exp bench, the gateway/* scenarios): what
 // rcagate adds to a request compared with hitting the owning node
 // directly. Two minimal node servers sit on loopback listeners; an
 // in-process cluster.Gateway fronts them; the same /v1/allocate body
@@ -18,6 +18,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sort"
@@ -65,17 +66,18 @@ func benchNode() (*http.Server, string, error) {
 }
 
 // measureGatewayScenarios runs the interleaved direct/forwarded
-// comparison and records both entries; the forwarded entry carries
-// the gated median paired-round p99 delta in P99HopDeltaNs.
-func measureGatewayScenarios(record func(string, benchEntry)) error {
+// comparison, prints both rows and returns the gated statistic: the
+// median paired-round p99 delta (forwarded minus direct), in
+// nanoseconds.
+func measureGatewayScenarios(out io.Writer) (float64, error) {
 	nodeA, urlA, err := benchNode()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer nodeA.Close()
 	nodeB, urlB, err := benchNode()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer nodeB.Close()
 
@@ -84,16 +86,16 @@ func measureGatewayScenarios(record func(string, benchEntry)) error {
 		{Name: "b", URL: urlB},
 	}, cluster.FleetOptions{ProbeInterval: time.Hour})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	gw, err := cluster.New(cluster.Options{Fleet: fleet, Version: "bench"})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer gw.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	gwSrv := &http.Server{Handler: gw.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	go gwSrv.Serve(ln) //nolint:errcheck // reported via requests failing
@@ -106,10 +108,10 @@ func measureGatewayScenarios(record func(string, benchEntry)) error {
 	// One warm round each (connection pools on every hop), then the
 	// alternating measured pairs.
 	if _, err := benchRound(directURL, gatewayBenchBody, http.StatusOK); err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := benchRound(forwardURL, gatewayBenchBody, http.StatusOK); err != nil {
-		return err
+		return 0, err
 	}
 	var deltas []float64
 	var directP99s, fwdP99s []time.Duration
@@ -117,11 +119,11 @@ func measureGatewayScenarios(record func(string, benchEntry)) error {
 	for r := 0; r < gatewayRounds; r++ {
 		a, err := benchRound(directURL, gatewayBenchBody, http.StatusOK)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		b, err := benchRound(forwardURL, gatewayBenchBody, http.StatusOK)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		pa, pb := p99(a), p99(b)
 		directP99s, fwdP99s = append(directP99s, pa), append(fwdP99s, pb)
@@ -129,9 +131,7 @@ func measureGatewayScenarios(record func(string, benchEntry)) error {
 		deltas = append(deltas, float64(pb-pa))
 	}
 	sort.Float64s(deltas)
-	record(fwdDirectBenchKey, submitEntry(directP99s, directAll))
-	fwdEntry := submitEntry(fwdP99s, fwdAll)
-	fwdEntry.P99HopDeltaNs = deltas[len(deltas)/2]
-	record(fwdGatewayBenchKey, fwdEntry)
-	return nil
+	printHTTPRow(out, fwdDirectBenchKey, directP99s, directAll)
+	printHTTPRow(out, fwdGatewayBenchKey, fwdP99s, fwdAll)
+	return deltas[len(deltas)/2], nil
 }

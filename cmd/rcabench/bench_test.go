@@ -1,200 +1,239 @@
 package main
 
 import (
-	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
 
-func testBaseline(ns float64) benchBaseline {
-	return benchBaseline{
-		Schema:    benchSchema,
-		GoVersion: "go-test",
-		GOOS:      "linux",
-		GOARCH:    "amd64",
-		Benchmarks: map[string]benchEntry{
-			"cover/dag/N=50": {NsPerOp: 1000, AllocsPerOp: 10, BytesPerOp: 100},
-			batchBenchKey:    {NsPerOp: ns, AllocsPerOp: 500, BytesPerOp: 5000},
-			parallelBenchKey: {NsPerOp: 1000, AllocsPerOp: 400, BytesPerOp: 4000},
-			batchObsBenchKey: {NsPerOp: ns, AllocsPerOp: 501, BytesPerOp: 5050},
-		},
-	}
+// benchRow is one synthetic benchmark result line.
+type benchRow struct {
+	name   string
+	ns     float64
+	allocs int
 }
 
-func writeBaselineFile(t *testing.T, base benchBaseline) string {
-	t.Helper()
-	data, err := json.Marshal(base)
-	if err != nil {
-		t.Fatal(err)
+// benchOut renders rows as `go test -bench -benchmem` prints them,
+// with suffix ("-2", or "" for GOMAXPROCS=1) after every name.
+func benchOut(suffix string, rows ...benchRow) string {
+	var b strings.Builder
+	b.WriteString("goos: linux\ngoarch: amd64\npkg: dspaddr\ncpu: test\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%s%s   \t    1000\t %10.0f ns/op\t  145040 B/op\t %6d allocs/op\n",
+			r.name, suffix, r.ns, r.allocs)
 	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	b.WriteString("PASS\n")
+	return b.String()
+}
+
+// gatedRows is a typical gated set: batch, parallel and traced batch
+// at the given ns/op, the untraced batch at allocs allocs/op.
+func gatedRows(batch, parallel, traced float64, allocs int) []benchRow {
+	return []benchRow{
+		{batchBench, batch, allocs},
+		{parallelBench, parallel, 900},
+		{tracedBench, traced, allocs - 80},
 	}
-	return path
 }
 
 func TestCompareBaselinesGate(t *testing.T) {
-	committed := testBaseline(1000)
+	aa := benchOut("-2", gatedRows(600e3, 1e6, 620e3, 1400)...)
+	for _, tc := range []struct {
+		name string
+		// base and head hold one output per round; a single output
+		// stands for benchRounds identical rounds.
+		base, head []string
+		wantErr    string // "" means the gate passes
+		wantOut    string
+	}{
+		{name: "A/A passes", base: []string{aa}, head: []string{aa}, wantOut: "ratio 1.000"},
+		{
+			name:    "batch +30% fails",
+			base:    []string{aa},
+			head:    []string{benchOut("-2", gatedRows(780e3, 1e6, 620e3, 1400)...)},
+			wantErr: batchBench + " is 30.0% slower",
+		},
+		{
+			name:    "parallel +30% fails",
+			base:    []string{aa},
+			head:    []string{benchOut("-2", gatedRows(600e3, 1.3e6, 620e3, 1400)...)},
+			wantErr: parallelBench + " is 30.0% slower",
+		},
+		{
+			name:    "traced +30% fails",
+			base:    []string{aa},
+			head:    []string{benchOut("-2", gatedRows(600e3, 1e6, 806e3, 1400)...)},
+			wantErr: tracedBench + " is 30.0% slower",
+		},
+		{
+			name:    "+25% exactly passes",
+			base:    []string{aa},
+			head:    []string{benchOut("-2", gatedRows(750e3, 1.25e6, 775e3, 1400)...)},
+			wantOut: "ratio 1.250",
+		},
+		{
+			name:    "traced +11% over plain fails",
+			base:    []string{aa},
+			head:    []string{benchOut("-2", gatedRows(600e3, 1e6, 666e3, 1400)...)},
+			wantErr: "tracing overhead 11.0% exceeds 10%",
+		},
+		{
+			name:    "traced +9% over plain passes",
+			base:    []string{aa},
+			head:    []string{benchOut("-2", gatedRows(600e3, 1e6, 654e3, 1400)...)},
+			wantOut: "tracing overhead: +9.0%",
+		},
+		{
+			name:    "+9 allocs/op fails",
+			base:    []string{aa},
+			head:    []string{benchOut("-2", gatedRows(600e3, 1e6, 620e3, 1409)...)},
+			wantErr: batchBench + " allocates 1409/op vs base 1400/op",
+		},
+		{
+			name:    "+8 allocs/op passes",
+			base:    []string{aa},
+			head:    []string{benchOut("-2", gatedRows(600e3, 1e6, 620e3, 1408)...)},
+			wantOut: "1408 allocs/op",
+		},
+		{
+			name:    "benchmark missing from base is new, not gated",
+			base:    []string{benchOut("-2", gatedRows(600e3, 1e6, 620e3, 1400)[:2]...)},
+			head:    []string{benchOut("-2", gatedRows(600e3, 1e6, 640e3, 1400)...)},
+			wantOut: "new: not in base",
+		},
+		{
+			name:    "gated benchmark missing from head fails",
+			base:    []string{aa},
+			head:    []string{benchOut("-2", gatedRows(600e3, 1e6, 620e3, 1400)[1:]...)},
+			wantErr: batchBench + " missing from head",
+		},
+		{
+			name:    "GOMAXPROCS suffix is stripped",
+			base:    []string{aa},
+			head:    []string{benchOut("", gatedRows(600e3, 1e6, 620e3, 1400)...)},
+			wantOut: "ratio 1.000",
+		},
+		{
+			name: "one slow round does not move the median",
+			base: []string{aa},
+			head: []string{aa, aa, aa,
+				benchOut("-2", gatedRows(1.2e6, 2e6, 1.2e6, 1400)...), aa, aa},
+			wantOut: "ratio 1.000",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base, head := benchRuns{}, benchRuns{}
+			for _, side := range []struct {
+				runs    benchRuns
+				outputs []string
+			}{{base, tc.base}, {head, tc.head}} {
+				outputs := side.outputs
+				if len(outputs) == 1 {
+					for len(outputs) < benchRounds {
+						outputs = append(outputs, outputs[0])
+					}
+				}
+				for _, text := range outputs {
+					side.runs.parse(text)
+				}
+			}
+			var out strings.Builder
+			err := compareRuns(&out, base, head)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("gate failed: %v\n%s", err, out.String())
+			case tc.wantErr != "" && err == nil:
+				t.Fatalf("gate passed, want %q\n%s", tc.wantErr, out.String())
+			case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+				t.Fatalf("error %q, want it to mention %q", err, tc.wantErr)
+			}
+			if !strings.Contains(out.String(), tc.wantOut) {
+				t.Fatalf("output missing %q:\n%s", tc.wantOut, out.String())
+			}
+		})
+	}
+}
+
+func TestHTTPGates(t *testing.T) {
 	var out strings.Builder
-
-	// Within tolerance: 25% slower exactly still passes.
-	if err := compareBaselines(&out, testBaseline(1250), committed); err != nil {
-		t.Fatalf("25%% regression should be within tolerance: %v", err)
+	if err := checkHTTPGates(&out, 100*walOverheadTolerance, gatewayHopCeilingNs); err != nil {
+		t.Fatalf("bounds exactly met failed the gate: %v", err)
 	}
-	// Beyond tolerance fails.
-	if err := compareBaselines(&out, testBaseline(1300), committed); err == nil {
-		t.Fatal("30% regression passed the gate")
-	}
-	// Improvements pass.
-	if err := compareBaselines(&out, testBaseline(500), committed); err != nil {
-		t.Fatalf("improvement failed the gate: %v", err)
-	}
-	// A committed baseline missing a gated entry is an error, not a
-	// silent pass — for either gated scenario.
-	for _, key := range gatedBenchKeys {
-		broken := testBaseline(1000)
-		delete(broken.Benchmarks, key)
-		if err := compareBaselines(&out, testBaseline(1000), broken); err == nil {
-			t.Fatalf("missing gated benchmark %q passed the gate", key)
-		}
-	}
-
-	// The parallel scenario is gated independently of the batch one.
-	slowPar := testBaseline(1000)
-	e := slowPar.Benchmarks[parallelBenchKey]
-	e.NsPerOp = 1300
-	slowPar.Benchmarks[parallelBenchKey] = e
-	if err := compareBaselines(&out, slowPar, committed); err == nil {
-		t.Fatal("30% parallel regression passed the gate")
-	}
-
-	// Tracing overhead is a same-run ratio: an instrumented batch more
-	// than obsOverheadTolerance slower than the fresh untraced batch
-	// fails even when both are within the vs-committed tolerance.
-	slowObs := testBaseline(1000)
-	e = slowObs.Benchmarks[batchObsBenchKey]
-	e.NsPerOp = 1000 * (1 + obsOverheadTolerance + 0.05)
-	slowObs.Benchmarks[batchObsBenchKey] = e
-	if err := compareBaselines(&out, slowObs, committed); err == nil {
-		t.Fatal("excess tracing overhead passed the gate")
-	}
-
-	// The untraced batch may not gain allocations beyond allocSlack —
-	// the hooks-disabled path must stay allocation-free.
-	leaky := testBaseline(1000)
-	e = leaky.Benchmarks[batchBenchKey]
-	e.AllocsPerOp = committed.Benchmarks[batchBenchKey].AllocsPerOp + allocSlack + 1
-	leaky.Benchmarks[batchBenchKey] = e
-	if err := compareBaselines(&out, leaky, committed); err == nil {
-		t.Fatal("alloc growth on the untraced batch passed the gate")
-	}
-	e.AllocsPerOp = committed.Benchmarks[batchBenchKey].AllocsPerOp + allocSlack
-	leaky.Benchmarks[batchBenchKey] = e
-	if err := compareBaselines(&out, leaky, committed); err != nil {
-		t.Fatalf("alloc drift within slack failed the gate: %v", err)
-	}
-
-	// The durability gate reads the within-run statistic carried on
-	// the fresh WAL scenario entry — the median paired-round p99
-	// overhead — and fails past walOverheadTolerance.
-	walFresh := func(pct float64) benchBaseline {
-		b := testBaseline(1000)
-		b.Benchmarks[submitWALBenchKey] = benchEntry{
-			NsPerOp: 1100, P99NsPerOp: 2000, P99OverheadPct: pct,
-		}
-		return b
-	}
-	if err := compareBaselines(&out, walFresh(100*walOverheadTolerance), committed); err != nil {
-		t.Fatalf("wal overhead at tolerance failed the gate: %v", err)
-	}
-	if err := compareBaselines(&out, walFresh(100*walOverheadTolerance+0.1), committed); err == nil {
+	if err := checkHTTPGates(&out, 100*walOverheadTolerance+0.1, 0); err == nil {
 		t.Fatal("excess wal submit p99 overhead passed the gate")
 	}
-
-	// The gateway-hop gate reads the within-run statistic on the fresh
-	// gateway/forward entry — the median paired-round p99 delta — and
-	// fails past the absolute 1ms ceiling.
-	hopFresh := func(deltaNs float64) benchBaseline {
-		b := testBaseline(1000)
-		b.Benchmarks[fwdDirectBenchKey] = benchEntry{NsPerOp: 300, P99NsPerOp: 900}
-		b.Benchmarks[fwdGatewayBenchKey] = benchEntry{
-			NsPerOp: 600, P99NsPerOp: 900 + deltaNs, P99HopDeltaNs: deltaNs,
-		}
-		return b
-	}
-	if err := compareBaselines(&out, hopFresh(gatewayHopCeilingNs), committed); err != nil {
-		t.Fatalf("hop delta at the ceiling failed the gate: %v", err)
-	}
-	if err := compareBaselines(&out, hopFresh(gatewayHopCeilingNs+1), committed); err == nil {
+	if err := checkHTTPGates(&out, 0, gatewayHopCeilingNs+1); err == nil {
 		t.Fatal("excess gateway hop p99 delta passed the gate")
 	}
 }
 
-func TestLoadBaseline(t *testing.T) {
-	path := writeBaselineFile(t, testBaseline(1000))
-	base, err := loadBaseline(path)
+// TestRunRoundsAlternates runs two stand-in test binaries and checks
+// the round schedule, the flags each run gets and the parsed samples.
+func TestRunRoundsAlternates(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("stand-in binaries are shell scripts")
+	}
+	dir := t.TempDir()
+	log := filepath.Join(dir, "calls.log")
+	stub := func(side string, ns float64) string {
+		path := filepath.Join(dir, side+".test")
+		script := fmt.Sprintf("#!/bin/sh\necho \"%s $*\" >> %s\ncat <<'EOF'\n%sEOF\n",
+			side, log, benchOut("-2", gatedRows(ns, 1e6, ns, 1400)...))
+		if err := os.WriteFile(path, []byte(script), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	baseBin, headBin := stub("base", 500e3), stub("head", 600e3)
+
+	var out strings.Builder
+	base, head, err := runRounds(&out, baseBin, headBin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Benchmarks[batchBenchKey].NsPerOp != 1000 {
-		t.Fatalf("round-trip lost data: %+v", base)
+	data, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := loadBaseline(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
+	calls := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(calls) != 2*benchRounds {
+		t.Fatalf("%d runs, want %d", len(calls), 2*benchRounds)
 	}
-	bad := testBaseline(1)
-	bad.Schema = benchSchema + 1
-	if _, err := loadBaseline(writeBaselineFile(t, bad)); err == nil {
-		t.Fatal("wrong schema accepted")
+	for r := 0; r < benchRounds; r++ {
+		first := "base"
+		if r%2 == 1 {
+			first = "head"
+		}
+		if got := strings.Fields(calls[2*r])[0]; got != first {
+			t.Errorf("round %d started with %s, want %s", r+1, got, first)
+		}
+	}
+	want := "-test.run ^$ -test.bench ^(BenchmarkEngineBatch|BenchmarkEngineParallelWarm|BenchmarkEngineBatchTraced)$ -test.benchmem -test.count 1"
+	if !strings.HasSuffix(calls[0], want) {
+		t.Errorf("run flags %q, want %q", calls[0], want)
+	}
+	if got := median(base[batchBench].ns); got != 500e3 {
+		t.Errorf("base batch median %v", got)
+	}
+	if got := len(head[tracedBench].ns); got != benchRounds {
+		t.Errorf("head traced has %d samples, want %d", got, benchRounds)
+	}
+	if !strings.Contains(out.String(), "--- round 6/6 base") {
+		t.Errorf("raw output not echoed:\n%s", out.String())
 	}
 }
 
-// TestCommittedBaselineParses guards the repo's committed baselines
-// against drift: each must parse and contain every benchmark the gate
-// and the README table rely on. BENCH_9.json — the one CI gates
-// against — additionally carries the durable-submit and gateway-hop
-// scenarios, and the within-run statistics it records must themselves
-// be inside the gates they document.
-func TestCommittedBaselineParses(t *testing.T) {
-	core := []string{"cover/dag/N=50", "cover/bb/N=20", "merge/greedy/R=48",
-		"engine/hit/N20", batchBenchKey, parallelBenchKey}
-	for _, tc := range []struct {
-		file string
-		keys []string
-	}{
-		{"BENCH_5.json", core},
-		{"BENCH_8.json", append(append([]string{}, core...),
-			submitNoWALBenchKey, submitWALBenchKey, submitWALAlwaysBenchKey)},
-		{"BENCH_9.json", append(append([]string{}, core...),
-			submitNoWALBenchKey, submitWALBenchKey, submitWALAlwaysBenchKey,
-			fwdDirectBenchKey, fwdGatewayBenchKey)},
+func TestBenchNeedsBothBinaries(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "bench"},
+		{"-exp", "bench", "-bench-base", "base.test"},
+		{"-exp", "bench", "-bench-head", "head.test"},
 	} {
-		base, err := loadBaseline(filepath.Join("..", "..", tc.file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range tc.keys {
-			e, ok := base.Benchmarks[name]
-			if !ok {
-				t.Errorf("%s missing %q", tc.file, name)
-			} else if e.NsPerOp <= 0 {
-				t.Errorf("%s %q has ns/op %v", tc.file, name, e.NsPerOp)
-			}
-		}
-		if tc.file == "BENCH_8.json" || tc.file == "BENCH_9.json" {
-			wal := base.Benchmarks[submitWALBenchKey]
-			if wal.P99NsPerOp <= 0 || wal.P99OverheadPct > 100*walOverheadTolerance {
-				t.Errorf("%s wal scenario outside its own gate: %+v", tc.file, wal)
-			}
-		}
-		if tc.file == "BENCH_9.json" {
-			fwd := base.Benchmarks[fwdGatewayBenchKey]
-			if fwd.P99NsPerOp <= 0 || fwd.P99HopDeltaNs > gatewayHopCeilingNs {
-				t.Errorf("%s gateway scenario outside its own gate: %+v", tc.file, fwd)
-			}
+		if _, err := runToString(t, args...); err == nil || !strings.Contains(err.Error(), "-bench-base and -bench-head") {
+			t.Errorf("%v: error %v, want one naming both flags", args, err)
 		}
 	}
 }

@@ -1,4 +1,4 @@
-// Durable-submit baseline (-exp bench, the jobs/submit-* scenarios):
+// Durable-submit gate (-exp bench, the jobs/submit-* scenarios):
 // the cost of the write-ahead log on the async submit path, measured
 // where users feel it — a loopback HTTP submit route over
 // jobs.Manager, hit by concurrent clients — rather than as a raw
@@ -12,14 +12,15 @@
 // rounds yields one p99 ratio, and the gate takes the MEDIAN of those
 // per-pair ratios. A stall that fattens one round's tail lands inside
 // its own pair; a drifting machine moves both sides of every pair.
-// Pooled p99s across the whole run — one bad burst away from a 50%
-// swing — are recorded for the trajectory but deliberately not gated.
+// A pooled p99 across the whole run — one bad burst away from a 50%
+// swing — is deliberately not used; each printed row shows the median
+// per-round p99 instead.
 //
 // The gated pair keeps its WAL on RAM-backed storage (/dev/shm when
 // present): a regression gate guards the implementation's CPU,
 // allocation and syscall cost, not the benchmark device's writeback
 // tails. The fsync=always scenario runs on the real temp filesystem
-// and is recorded ungated — an fsync per submit costs whatever the
+// and is printed ungated — an fsync per submit costs whatever the
 // disk charges, which is a policy choice, not a code property.
 
 package main
@@ -197,21 +198,18 @@ func p99(durs []time.Duration) time.Duration {
 	return durs[len(durs)*99/100]
 }
 
-// submitEntry folds one side's samples into a benchEntry: NsPerOp the
-// overall mean, P99NsPerOp the median of the per-round p99s (a level
-// estimate robust to single-round stalls, matching the gate's pairing
-// logic).
-func submitEntry(roundP99s []time.Duration, all []time.Duration) benchEntry {
+// printHTTPRow prints one side's samples: the overall mean and the
+// median of the per-round p99s (a level estimate robust to
+// single-round stalls, matching the gate's pairing logic).
+func printHTTPRow(out io.Writer, name string, roundP99s, all []time.Duration) {
 	var total time.Duration
 	for _, d := range all {
 		total += d
 	}
 	sorted := append([]time.Duration(nil), roundP99s...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return benchEntry{
-		NsPerOp:    float64(total.Nanoseconds()) / float64(len(all)),
-		P99NsPerOp: float64(sorted[len(sorted)/2].Nanoseconds()),
-	}
+	fmt.Fprintf(out, "  %-28s %11.0f ns/op %11d p99 ns/op\n",
+		name, float64(total.Nanoseconds())/float64(len(all)), sorted[len(sorted)/2].Nanoseconds())
 }
 
 // walBenchDir picks where the gated scenarios keep their log:
@@ -226,33 +224,33 @@ func walBenchDir() (string, error) {
 }
 
 // measureSubmitScenarios runs the interleaved no-WAL/WAL comparison
-// plus the informational fsync=always pass and records the three
-// entries; the gated WAL entry carries the median paired-round p99
-// overhead in P99OverheadPct.
-func measureSubmitScenarios(record func(string, benchEntry)) error {
+// plus the informational fsync=always pass, prints the three rows and
+// returns the gated statistic: the median paired-round p99 overhead
+// of the WAL'd side, in percent.
+func measureSubmitScenarios(out io.Writer) (float64, error) {
 	noSrv, err := newSubmitServer("", 0)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer noSrv.close()
 	dir, err := walBenchDir()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer os.RemoveAll(dir)
 	walSrv, err := newSubmitServer(dir, wal.FsyncInterval)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer walSrv.close()
 
 	// One warm round each (connection pools, allocator, JIT-warm
 	// inlining of the route), then the alternating measured pairs.
 	if _, err := submitRound(noSrv.url); err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := submitRound(walSrv.url); err != nil {
-		return err
+		return 0, err
 	}
 	var ratios []float64
 	var noP99s, walP99s []time.Duration
@@ -260,11 +258,11 @@ func measureSubmitScenarios(record func(string, benchEntry)) error {
 	for r := 0; r < submitRounds; r++ {
 		a, err := submitRound(noSrv.url)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		b, err := submitRound(walSrv.url)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		pa, pb := p99(a), p99(b)
 		noP99s, walP99s = append(noP99s, pa), append(walP99s, pb)
@@ -272,30 +270,28 @@ func measureSubmitScenarios(record func(string, benchEntry)) error {
 		ratios = append(ratios, float64(pb)/float64(pa))
 	}
 	sort.Float64s(ratios)
-	record(submitNoWALBenchKey, submitEntry(noP99s, noAll))
-	walEntry := submitEntry(walP99s, walAll)
-	walEntry.P99OverheadPct = (ratios[len(ratios)/2] - 1) * 100
-	record(submitWALBenchKey, walEntry)
+	printHTTPRow(out, submitNoWALBenchKey, noP99s, noAll)
+	printHTTPRow(out, submitWALBenchKey, walP99s, walAll)
 
 	// fsync=always, on the real temp filesystem, ungated.
 	alwaysDir, err := os.MkdirTemp("", "rcabench-wal-*")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer os.RemoveAll(alwaysDir)
 	alwaysSrv, err := newSubmitServer(alwaysDir, wal.FsyncAlways)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer alwaysSrv.close()
 	var aP99s, aAll []time.Duration
 	for r := 0; r < submitAlwaysRounds; r++ {
 		a, err := submitRound(alwaysSrv.url)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		aP99s, aAll = append(aP99s, p99(a)), append(aAll, a...)
 	}
-	record(submitWALAlwaysBenchKey, submitEntry(aP99s, aAll))
-	return nil
+	printHTTPRow(out, submitWALAlwaysBenchKey, aP99s, aAll)
+	return (ratios[len(ratios)/2] - 1) * 100, nil
 }

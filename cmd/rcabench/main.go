@@ -14,14 +14,15 @@
 //
 // A separate tooling mode, not part of "all":
 //
-//	bench  machine-readable hot-path baseline (see bench.go); with
-//	       -bench-out it writes BENCH_*.json, with -bench-against it
-//	       runs the CI gates against a committed baseline
+//	bench  the CI regression gates (see bench.go): the parent's and
+//	       the change's root test binaries (-bench-base, -bench-head)
+//	       run the engine benchmarks in interleaved rounds, then the
+//	       WAL-submit and gateway-hop gates run in process
 //
 // Usage:
 //
 //	rcabench -exp e2 -trials 100 -seed 1998
-//	rcabench -exp bench -bench-out BENCH_9.fresh.json -bench-against BENCH_9.json
+//	rcabench -exp bench -bench-base base.test -bench-head head.test
 package main
 
 import (
@@ -43,21 +44,21 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rcabench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: e1|e2|e3|a1|a2|a3|a4|a5|a6|all, or bench (hot-path baseline)")
+	exp := fs.String("exp", "all", "experiment: e1|e2|e3|a1|a2|a3|a4|a5|a6|all, or bench (regression gates)")
 	trials := fs.Int("trials", 100, "trials per sweep cell")
 	seed := fs.Int64("seed", 1998, "random seed")
 	k := fs.Int("k", 4, "register count for e3/a2/a3")
 	m := fs.Int("m", 1, "modify range for e3/a2/a3")
 	dist := fs.String("dist", "uniform", "random pattern distribution for e2: uniform|clustered|walk")
 	markdown := fs.Bool("md", false, "emit markdown tables")
-	benchOut := fs.String("bench-out", "", "with -exp bench: write the baseline JSON to this file")
-	benchAgainst := fs.String("bench-against", "", "with -exp bench: fail if a gated engine benchmark regresses >25% against this baseline file")
+	benchBase := fs.String("bench-base", "", "with -exp bench: the parent's root test binary (go test -c)")
+	benchHead := fs.String("bench-head", "", "with -exp bench: the change's root test binary, gated against -bench-base")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	if *exp == "bench" {
-		return runBench(out, *benchOut, *benchAgainst)
+		return runBench(out, *benchBase, *benchHead)
 	}
 
 	render := func(t interface {

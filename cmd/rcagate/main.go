@@ -45,7 +45,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -84,7 +83,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	logger, err := newLogger(*logFormat)
+	logger, err := api.NewLogger(*logFormat)
 	if err != nil {
 		return err
 	}
@@ -144,16 +143,4 @@ func run(args []string) error {
 		return err
 	}
 	return nil
-}
-
-// newLogger builds the process logger from the -log-format flag.
-func newLogger(format string) (*slog.Logger, error) {
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
-	}
 }

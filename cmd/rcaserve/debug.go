@@ -41,8 +41,7 @@ type debugSoakJSON struct {
 // rearmJSON is the POST /debug/soak body.
 type rearmJSON struct {
 	// Faults is the new injection spec (see internal/faults.Parse);
-	// "none" disarms without removing the endpoint. A ttl-div change
-	// is recorded but cannot retroactively change the store's TTL.
+	// "none" disarms without removing the endpoint.
 	Faults string `json:"faults"`
 }
 

@@ -127,7 +127,7 @@ func run(args []string) error {
 		return err
 	}
 
-	logger, err := newLogger(*logFormat)
+	logger, err := api.NewLogger(*logFormat)
 	if err != nil {
 		return err
 	}
@@ -261,18 +261,6 @@ func validateNodeID(id string) error {
 		}
 	}
 	return nil
-}
-
-// newLogger builds the process logger from the -log-format flag.
-func newLogger(format string) (*slog.Logger, error) {
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
-	}
 }
 
 // startDebugListener serves net/http/pprof plus a runtime snapshot on

@@ -96,9 +96,9 @@ func (s *server) instrument(next http.Handler) http.Handler {
 		ctx := obs.NewContext(r.Context(), tr)
 		if s.faults != nil {
 			if err := s.faults.BeforeResponse(ctx); err != nil {
-				// Blackhole: drop the connection without writing a
-				// response — the peer sees a transport error, never a
-				// synthesized status.
+				// The peer left during an injected delay: drop the
+				// connection without writing a response it stopped
+				// waiting for.
 				panic(http.ErrAbortHandler)
 			}
 		}

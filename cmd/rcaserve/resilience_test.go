@@ -176,24 +176,3 @@ func TestRespDelayFaultStretchesEveryRoute(t *testing.T) {
 		t.Fatalf("RespDelays = %d, want 1", got)
 	}
 }
-
-// TestBlackholeFaultDropsConnection: a blackholed request is held
-// until its context dies and then the connection is aborted — the
-// client sees a transport error, never a synthesized status.
-func TestBlackholeFaultDropsConnection(t *testing.T) {
-	inj, err := faults.Parse("blackhole=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := newTestServerWith(t, engine.Options{Workers: 1},
-		serverOptions{version: "test", faults: inj})
-	client := &http.Client{Timeout: 200 * time.Millisecond}
-	resp, err := client.Get(ts.URL + "/healthz")
-	if err == nil {
-		resp.Body.Close()
-		t.Fatalf("blackholed request got an answer: status %d", resp.StatusCode)
-	}
-	if got := inj.Snapshot().Blackholes; got != 1 {
-		t.Fatalf("Blackholes = %d, want 1", got)
-	}
-}

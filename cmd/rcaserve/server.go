@@ -104,7 +104,6 @@ func newServer(e *engine.Engine, opts serverOptions) *server {
 		Runners:       runners,
 		Run:           run,
 		FailState:     jobFailState,
-		Faults:        opts.faults,
 		NodeTag:       opts.nodeID,
 	}
 	if opts.wal != nil {

@@ -1,8 +1,8 @@
 // Package api owns the /v1 wire format: the request and response
 // bodies rcaserve serves, the rcagate gateway decodes to validate and
 // route, and the soak driver and benchmarks send. It also owns the
-// small HTTP helpers and the build version both servers share, and
-// the WAL encoding of async job payloads and results, which is the
+// small HTTP helpers, the build version and the process logger both
+// servers share, and the WAL encoding of async job payloads and results, which is the
 // same wire JSON.
 //
 // Node and gateway decode request bodies with the same types and the

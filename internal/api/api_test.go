@@ -303,3 +303,20 @@ func TestBuildVersion(t *testing.T) {
 		t.Fatal("BuildVersion returned empty")
 	}
 }
+
+// TestNewLogger: both -log-format values build a logger, and anything
+// else is refused with a message naming the flag and the bad value.
+func TestNewLogger(t *testing.T) {
+	for _, format := range []string{"text", "json"} {
+		if l, err := NewLogger(format); err != nil || l == nil {
+			t.Errorf("NewLogger(%q) = %v, %v", format, l, err)
+		}
+	}
+	_, err := NewLogger("xml")
+	if err == nil {
+		t.Fatal("unknown log format accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "-log-format") || !strings.Contains(msg, `"xml"`) {
+		t.Errorf("error %q should name the flag and the value", msg)
+	}
+}

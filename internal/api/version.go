@@ -1,6 +1,9 @@
 package api
 
 import (
+	"fmt"
+	"log/slog"
+	"os"
 	"runtime/debug"
 	"strings"
 )
@@ -42,4 +45,17 @@ func BuildVersion() string {
 		b.WriteString("+dirty")
 	}
 	return b.String()
+}
+
+// NewLogger builds the process logger rcaserve and rcagate write to
+// stderr, from their -log-format flag: "text" or "json".
+func NewLogger(format string) (*slog.Logger, error) {
+	switch format {
+	case "text":
+		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
+	case "json":
+		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
+	default:
+		return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
+	}
 }

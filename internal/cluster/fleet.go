@@ -96,9 +96,6 @@ type FleetOptions struct {
 	// FailThreshold is how many consecutive failures (probe or
 	// forward) mark a member down (0 = 2).
 	FailThreshold int
-	// ProbeClient issues the probes; nil builds a minimal dedicated
-	// client so probes never queue behind forwarded traffic.
-	ProbeClient *http.Client
 	// OnTransition, when non-nil, is called after every mark-down and
 	// mark-up (concurrently; must be cheap). The gateway points it at
 	// its metrics.
@@ -181,17 +178,16 @@ func NewFleet(members []Member, opts FleetOptions) (*Fleet, error) {
 		byName:  make(map[string]*Member, len(members)),
 		ring:    ring,
 		opts:    opts,
-		probe:   opts.ProbeClient,
-		stop:    make(chan struct{}),
-	}
-	if f.probe == nil {
-		f.probe = &http.Client{
+		// A dedicated client, so probes never queue behind forwarded
+		// traffic.
+		probe: &http.Client{
 			Timeout: opts.ProbeTimeout,
 			Transport: &http.Transport{
 				MaxIdleConnsPerHost: 1,
 				IdleConnTimeout:     90 * time.Second,
 			},
-		}
+		},
+		stop: make(chan struct{}),
 	}
 	for i := range members {
 		m := &Member{Name: members[i].Name, URL: members[i].URL}
@@ -244,19 +240,8 @@ func (f *Fleet) Replicas(key uint64) []*Member {
 	return out
 }
 
-// FirstUp returns the first up member of the key's replica sequence,
-// nil when every replica is down (the fleet-level 503 case).
-func (f *Fleet) FirstUp(key uint64) *Member {
-	for _, m := range f.Replicas(key) {
-		if m.Up() {
-			return m
-		}
-	}
-	return nil
-}
-
-// FirstRoutable is FirstUp with the circuit breakers consulted: the
-// first up member whose breaker admits a request now. When every up
+// FirstRoutable returns the first up member of the key's replica
+// sequence whose circuit breaker admits a request now. When every up
 // member's breaker refuses, routing fails OPEN — the first up member
 // is returned regardless, because an all-open breaker set must
 // degrade to plain liveness routing, never synthesize a fleet outage

@@ -119,9 +119,10 @@ func TestFleetPassiveReporting(t *testing.T) {
 	}
 }
 
-// TestFleetRehashToSuccessor asserts FirstUp walks the ring sequence:
-// with the owner down, its keys land on the ring successor, and with
-// everyone down FirstUp reports nil.
+// TestFleetRehashToSuccessor asserts FirstRoutable walks the ring
+// sequence: with every breaker closed and the owner down, its keys
+// land on the ring successor, and with everyone down FirstRoutable
+// reports nil.
 func TestFleetRehashToSuccessor(t *testing.T) {
 	f, err := NewFleet([]Member{
 		{Name: "n1", URL: "http://127.0.0.1:1"},
@@ -132,23 +133,23 @@ func TestFleetRehashToSuccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := uint64(0xdeadbeefcafef00d)
-	owner := f.FirstUp(key)
+	owner := f.FirstRoutable(key)
 	if owner == nil {
 		t.Fatal("no owner with all up")
 	}
 	seq := f.Replicas(key)
 	if seq[0] != owner {
-		t.Fatal("FirstUp should be the sequence head with all up")
+		t.Fatal("FirstRoutable should be the sequence head with all up")
 	}
 	owner.up.Store(false)
-	next := f.FirstUp(key)
+	next := f.FirstRoutable(key)
 	if next == nil || next != seq[1] {
 		t.Fatalf("downed owner's key should rehash to the ring successor %s, got %v", seq[1].Name, next)
 	}
 	for _, m := range f.Members() {
 		m.up.Store(false)
 	}
-	if f.FirstUp(key) != nil {
-		t.Fatal("FirstUp with all down should be nil")
+	if f.FirstRoutable(key) != nil {
+		t.Fatal("FirstRoutable with all down should be nil")
 	}
 }

@@ -1,12 +1,12 @@
 // Package faults is the opt-in fault-injection layer behind the soak
 // and chaos harness (cmd/rcasoak). An Injector can stretch solve
-// latency, force solver errors and accelerate result-store expiry —
-// the failure modes a long-running rcaserve must absorb without
-// violating its invariants — while staying completely out of the
-// production hot path: the engine and job manager hold a *Injector in
-// their options structs, a nil pointer means injection is compiled
-// down to one pointer compare, and an armed injector costs one atomic
-// increment per hook site.
+// latency, force solver errors, fail write-ahead-log appends and
+// stretch HTTP responses — the failure modes a long-running rcaserve
+// must absorb without violating its invariants — while staying
+// completely out of the production hot path: the engine, the WAL and
+// rcaserve's request middleware hold a *Injector, a nil pointer means
+// injection is compiled down to one pointer compare, and an armed
+// injector costs one atomic increment per hook site.
 //
 // Injection is counter-based, not probabilistic: "every Nth call"
 // from an atomic counter is deterministic under a fixed op sequence,
@@ -14,7 +14,7 @@
 // same seed — a flaky fault schedule would make oracle failures
 // unreproducible, which defeats the point of the harness.
 //
-// The textual spec form ("delay=20ms:4,error=128,ttl-div=100") is
+// The textual spec form ("delay=20ms:4,error=128") is
 // what rcaserve's -faults flag and /debug/soak endpoint accept; see
 // Parse. The special spec "none" arms an injector that injects
 // nothing, which soak builds use to expose the debug endpoint without
@@ -49,44 +49,29 @@ type Injector struct {
 	// (0 = off). Error and delay counters are independent, so a call
 	// can both stall and fail.
 	errorEvery atomic.Int64
-	// ttlDiv divides the job result store's TTL at construction time
-	// (0 or 1 = off). Unlike the solve hooks it cannot be re-armed
-	// live: the store's expiry horizon is fixed when the manager is
-	// built.
-	ttlDiv atomic.Int64
 
 	// walWriteEvery forces a write-ahead-log append failure on every
-	// Nth BeforeWALWrite call (0 = off); walFsyncDelayNanos and
-	// walFsyncEvery stretch every Nth WAL fsync, modeling a disk whose
-	// write cache is flushing. Separate counters from the solve hooks,
-	// so the WAL fault schedule is deterministic regardless of solve
-	// traffic.
-	walWriteEvery      atomic.Int64
-	walFsyncDelayNanos atomic.Int64
-	walFsyncEvery      atomic.Int64
+	// Nth BeforeWALWrite call (0 = off). A separate counter from the
+	// solve hooks, so the WAL fault schedule is deterministic
+	// regardless of solve traffic.
+	walWriteEvery atomic.Int64
 
 	// respDelayNanos/respDelayEvery stretch every Nth HTTP response
 	// (the gray-failure fault: the process is alive, /healthz answers,
-	// but serving latency is an order of magnitude up); blackholeEvery
-	// holds every Nth request open until its context dies, modeling a
-	// connection that never answers. Both hook BeforeResponse, counted
-	// separately from the solve hooks.
+	// but serving latency is an order of magnitude up). They hook
+	// BeforeResponse, counted separately from the solve hooks.
 	respDelayNanos atomic.Int64
 	respDelayEvery atomic.Int64
-	blackholeEvery atomic.Int64
 
 	calls  atomic.Uint64 // BeforeSolve invocations
 	delays atomic.Uint64 // injected latencies fired
 	errs   atomic.Uint64 // injected errors fired
 
-	walWrites     atomic.Uint64 // BeforeWALWrite invocations
-	walWriteErrs  atomic.Uint64 // injected WAL append failures
-	walFsyncCalls atomic.Uint64 // WALFsyncDelay invocations
-	walDelays     atomic.Uint64 // injected WAL fsync stalls
+	walWrites    atomic.Uint64 // BeforeWALWrite invocations
+	walWriteErrs atomic.Uint64 // injected WAL append failures
 
 	respCalls  atomic.Uint64 // BeforeResponse invocations
 	respDelays atomic.Uint64 // injected response stalls fired
-	blackholes atomic.Uint64 // requests held until ctx death
 }
 
 // Parse builds an injector from a comma-separated spec:
@@ -94,12 +79,9 @@ type Injector struct {
 //	delay=20ms:4          inject 20ms of solve latency on every 4th solve
 //	delay=5ms             inject 5ms on every solve
 //	error=128             force an error on every 128th solve
-//	ttl-div=100           divide the async result TTL by 100
 //	wal-write-error=64    fail every 64th WAL append
-//	wal-fsync-delay=5ms:8 stall every 8th WAL fsync by 5ms
 //	resp-delay=300ms      stall every HTTP response by 300ms (gray failure)
 //	resp-delay=50ms:4     stall every 4th HTTP response by 50ms
-//	blackhole=16          hold every 16th request open until its ctx dies
 //	none                  arm the injector with nothing scheduled
 //
 // An empty spec is an error — callers express "no injection" by not
@@ -140,33 +122,12 @@ func Parse(spec string) (*Injector, error) {
 				return nil, fmt.Errorf("faults: bad error period %q", val)
 			}
 			inj.errorEvery.Store(int64(every))
-		case "ttl-div":
-			div, err := strconv.Atoi(val)
-			if err != nil || div < 1 {
-				return nil, fmt.Errorf("faults: bad ttl divisor %q", val)
-			}
-			inj.ttlDiv.Store(int64(div))
 		case "wal-write-error":
 			every, err := strconv.Atoi(val)
 			if err != nil || every < 1 {
 				return nil, fmt.Errorf("faults: bad wal-write-error period %q", val)
 			}
 			inj.walWriteEvery.Store(int64(every))
-		case "wal-fsync-delay":
-			durStr, everyStr, hasEvery := strings.Cut(val, ":")
-			d, err := time.ParseDuration(durStr)
-			if err != nil || d <= 0 {
-				return nil, fmt.Errorf("faults: bad wal-fsync-delay %q", val)
-			}
-			every := 1
-			if hasEvery {
-				every, err = strconv.Atoi(everyStr)
-				if err != nil || every < 1 {
-					return nil, fmt.Errorf("faults: bad wal-fsync-delay period %q", everyStr)
-				}
-			}
-			inj.walFsyncDelayNanos.Store(int64(d))
-			inj.walFsyncEvery.Store(int64(every))
 		case "resp-delay":
 			durStr, everyStr, hasEvery := strings.Cut(val, ":")
 			d, err := time.ParseDuration(durStr)
@@ -182,12 +143,6 @@ func Parse(spec string) (*Injector, error) {
 			}
 			inj.respDelayNanos.Store(int64(d))
 			inj.respDelayEvery.Store(int64(every))
-		case "blackhole":
-			every, err := strconv.Atoi(val)
-			if err != nil || every < 1 {
-				return nil, fmt.Errorf("faults: bad blackhole period %q", val)
-			}
-			inj.blackholeEvery.Store(int64(every))
 		default:
 			return nil, fmt.Errorf("faults: unknown clause key %q", key)
 		}
@@ -195,9 +150,8 @@ func Parse(spec string) (*Injector, error) {
 	return inj, nil
 }
 
-// Rearm replaces the live solve-hook schedule with a freshly parsed
-// spec. ttl-div in the new spec is recorded for display but has no
-// effect on an already-built store; counters keep accumulating.
+// Rearm replaces the live schedule with a freshly parsed spec;
+// counters keep accumulating.
 func (inj *Injector) Rearm(spec string) error {
 	next, err := Parse(spec)
 	if err != nil {
@@ -206,13 +160,9 @@ func (inj *Injector) Rearm(spec string) error {
 	inj.delayNanos.Store(next.delayNanos.Load())
 	inj.delayEvery.Store(next.delayEvery.Load())
 	inj.errorEvery.Store(next.errorEvery.Load())
-	inj.ttlDiv.Store(next.ttlDiv.Load())
 	inj.walWriteEvery.Store(next.walWriteEvery.Load())
-	inj.walFsyncDelayNanos.Store(next.walFsyncDelayNanos.Load())
-	inj.walFsyncEvery.Store(next.walFsyncEvery.Load())
 	inj.respDelayNanos.Store(next.respDelayNanos.Load())
 	inj.respDelayEvery.Store(next.respDelayEvery.Load())
-	inj.blackholeEvery.Store(next.blackholeEvery.Load())
 	return nil
 }
 
@@ -255,33 +205,15 @@ func (inj *Injector) BeforeWALWrite() error {
 	return nil
 }
 
-// WALFsyncDelay stalls the caller on every Nth WAL fsync when a
-// wal-fsync-delay clause is armed — the "disk flushing its cache"
-// fault that stretches the fsync tail without failing anything.
-func (inj *Injector) WALFsyncDelay() {
-	n := inj.walFsyncCalls.Add(1)
-	if every := inj.walFsyncEvery.Load(); every > 0 && n%uint64(every) == 0 {
-		if d := time.Duration(inj.walFsyncDelayNanos.Load()); d > 0 {
-			inj.walDelays.Add(1)
-			time.Sleep(d)
-		}
-	}
-}
-
 // BeforeResponse is the HTTP-serving hook, called at the top of every
-// request before the handler runs. An armed blackhole clause parks the
-// request until its context dies (client disconnect, forwarder hop
-// timeout, server shutdown); an armed resp-delay clause stretches the
-// response by the scheduled latency, interruptible the same way. The
-// non-nil error is always the context's own, so callers can drop the
-// request without writing a response the peer stopped waiting for.
+// request before the handler runs. An armed resp-delay clause
+// stretches the response by the scheduled latency, interruptible by
+// the request's context (client disconnect, forwarder hop timeout,
+// server shutdown). The non-nil error is always the context's own, so
+// callers can drop the request without writing a response the peer
+// stopped waiting for.
 func (inj *Injector) BeforeResponse(ctx context.Context) error {
 	n := inj.respCalls.Add(1)
-	if every := inj.blackholeEvery.Load(); every > 0 && n%uint64(every) == 0 {
-		inj.blackholes.Add(1)
-		<-ctx.Done()
-		return ctx.Err()
-	}
 	if every := inj.respDelayEvery.Load(); every > 0 && n%uint64(every) == 0 {
 		if d := time.Duration(inj.respDelayNanos.Load()); d > 0 {
 			inj.respDelays.Add(1)
@@ -297,22 +229,6 @@ func (inj *Injector) BeforeResponse(ctx context.Context) error {
 	return nil
 }
 
-// TTL returns the store retention the manager should use: the
-// configured TTL divided by the armed ttl-div, floored at 1ms so an
-// aggressive divisor accelerates expiry without making results
-// unfetchable the instant they finish.
-func (inj *Injector) TTL(configured time.Duration) time.Duration {
-	div := inj.ttlDiv.Load()
-	if div <= 1 {
-		return configured
-	}
-	d := configured / time.Duration(div)
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return d
-}
-
 // Stats is a snapshot of the injector's activity, exported by the
 // debug endpoint so the soak harness can verify faults actually fired.
 type Stats struct {
@@ -320,16 +236,12 @@ type Stats struct {
 	Calls  uint64 `json:"calls"`
 	Delays uint64 `json:"delays"`
 	Errors uint64 `json:"errors"`
-	// WAL hook activity; zero unless wal-* clauses are armed and a
-	// write-ahead log is running.
+	// WAL hook activity; zero unless a write-ahead log is running.
 	WALWrites      uint64 `json:"walWrites"`
 	WALWriteErrors uint64 `json:"walWriteErrors"`
-	WALFsyncDelays uint64 `json:"walFsyncDelays"`
-	// HTTP response hook activity; zero unless resp-delay or blackhole
-	// clauses are armed.
+	// HTTP response hook activity.
 	RespCalls  uint64 `json:"respCalls"`
 	RespDelays uint64 `json:"respDelays"`
-	Blackholes uint64 `json:"blackholes"`
 }
 
 // Snapshot reports the current schedule and counters.
@@ -341,10 +253,8 @@ func (inj *Injector) Snapshot() Stats {
 		Errors:         inj.errs.Load(),
 		WALWrites:      inj.walWrites.Load(),
 		WALWriteErrors: inj.walWriteErrs.Load(),
-		WALFsyncDelays: inj.walDelays.Load(),
 		RespCalls:      inj.respCalls.Load(),
 		RespDelays:     inj.respDelays.Load(),
-		Blackholes:     inj.blackholes.Load(),
 	}
 }
 
@@ -357,20 +267,11 @@ func (inj *Injector) String() string {
 	if every := inj.errorEvery.Load(); every > 0 {
 		parts = append(parts, fmt.Sprintf("error=%d", every))
 	}
-	if div := inj.ttlDiv.Load(); div > 1 {
-		parts = append(parts, fmt.Sprintf("ttl-div=%d", div))
-	}
 	if every := inj.walWriteEvery.Load(); every > 0 {
 		parts = append(parts, fmt.Sprintf("wal-write-error=%d", every))
 	}
-	if every := inj.walFsyncEvery.Load(); every > 0 && inj.walFsyncDelayNanos.Load() > 0 {
-		parts = append(parts, fmt.Sprintf("wal-fsync-delay=%v:%d", time.Duration(inj.walFsyncDelayNanos.Load()), every))
-	}
 	if every := inj.respDelayEvery.Load(); every > 0 && inj.respDelayNanos.Load() > 0 {
 		parts = append(parts, fmt.Sprintf("resp-delay=%v:%d", time.Duration(inj.respDelayNanos.Load()), every))
-	}
-	if every := inj.blackholeEvery.Load(); every > 0 {
-		parts = append(parts, fmt.Sprintf("blackhole=%d", every))
 	}
 	if len(parts) == 0 {
 		return "none"

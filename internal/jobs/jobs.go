@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dspaddr/internal/faults"
 	"dspaddr/internal/obs"
 	"dspaddr/internal/wal"
 )
@@ -150,11 +149,6 @@ type Options struct {
 	// contexts map to StateCanceled, deadline errors to StateTimeout,
 	// everything else to StateFailed).
 	FailState func(error) State
-	// Faults is the opt-in chaos hook for soak builds: an armed
-	// injector's ttl-div clause accelerates result-store expiry (the
-	// effective TTL is Faults.TTL(TTL)). nil — the production default
-	// — is free.
-	Faults *faults.Injector
 	// WAL, when non-nil, makes every admission and terminal transition
 	// durable: a submission is appended to the log before it is
 	// queued (and before the caller gets its IDs back), and a finish
@@ -186,9 +180,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TTL <= 0 {
 		o.TTL = DefaultTTL
-	}
-	if o.Faults != nil {
-		o.TTL = o.Faults.TTL(o.TTL)
 	}
 	if o.Runners <= 0 {
 		o.Runners = DefaultRunners

@@ -126,9 +126,9 @@ type Options struct {
 	// replay); callers pass the job store's TTL. 0 means
 	// DefaultRetention.
 	Retention time.Duration
-	// Faults is the opt-in chaos hook (wal-write-error and
-	// wal-fsync-delay clauses); nil — the production default — is one
-	// pointer compare per append.
+	// Faults is the opt-in chaos hook (the wal-write-error clause);
+	// nil — the production default — is one pointer compare per
+	// append.
 	Faults *faults.Injector
 	// AppendHist, FsyncHist and ReplayHist, when non-nil, record
 	// append latency, fsync latency and replay duration; nil costs a
@@ -422,9 +422,6 @@ func (l *Log) syncActiveLocked(ctx context.Context) {
 		return
 	}
 	sp := obs.FromContext(ctx).StartSpan("wal.fsync")
-	if inj := l.opts.Faults; inj != nil {
-		inj.WALFsyncDelay()
-	}
 	start := time.Now()
 	err := l.active.Sync()
 	l.opts.FsyncHist.Observe(time.Since(start))
@@ -468,9 +465,6 @@ func (l *Log) flushLoop() {
 			l.mu.Unlock()
 			if f == nil {
 				continue
-			}
-			if inj := l.opts.Faults; inj != nil {
-				inj.WALFsyncDelay()
 			}
 			start := time.Now()
 			err := f.Sync()

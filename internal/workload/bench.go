@@ -1,9 +1,9 @@
 // Deterministic benchmark workloads shared by the top-level
-// micro-benchmarks, the in-package merge/pathcover benchmarks and the
-// rcabench baseline mode (BENCH_*.json). Keeping the generators here
-// guarantees all three measure byte-identical inputs — the README
-// table, the reference-vs-incremental comparisons and the CI
-// regression gate stay comparable by construction.
+// micro-benchmarks (which CI's regression gate runs) and the
+// in-package merge/pathcover benchmarks. Keeping the generators here
+// guarantees both measure byte-identical inputs — the README table
+// and the reference-vs-incremental comparisons stay comparable by
+// construction.
 
 package workload
 
