@@ -332,8 +332,9 @@ func BenchmarkIndexedOptimize(b *testing.B) {
 
 // --- batch engine benchmarks ---
 //
-// BenchmarkEngineBatch, BenchmarkEngineParallelWarm and
-// BenchmarkEngineBatchTraced are the CI micro-gate: rcabench -exp
+// BenchmarkEngineBatch, BenchmarkEngineParallelWarm,
+// BenchmarkEngineBatchTraced and BenchmarkEngineBatchServedMix are the
+// CI micro-gate: rcabench -exp
 // bench runs them from the parent's and the change's test binaries in
 // interleaved rounds and compares the medians (see cmd/rcabench).
 
@@ -388,6 +389,54 @@ func BenchmarkEngineBatchTraced(b *testing.B) {
 			}
 		}
 		tr.Release()
+	}
+}
+
+// servedMixJobs is one fixed cold batch of the served mix (perfbench's
+// cold-solve op): 12 intra-iteration jobs of N 32–64 and 4 wrap-aware
+// jobs of N 8–16, K 2–4, M 1–2, offsets drawn by internal/workload
+// from seed 21 with a random distribution and offset range 4–11.
+func servedMixJobs(b *testing.B) []engine.Request {
+	rng := rand.New(rand.NewSource(21))
+	jobs := make([]engine.Request, 16)
+	for i := range jobs {
+		wrap := i >= 12
+		n := 32 + rng.Intn(33)
+		if wrap {
+			n = 8 + rng.Intn(9)
+		}
+		pat, err := workload.RandomPattern(rng, workload.RandomParams{
+			N: n, OffsetRange: 4 + rng.Intn(8), Dist: workload.Distribution(rng.Intn(3)),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs[i] = engine.Request{
+			Pattern:        pat,
+			AGU:            model.AGUSpec{Registers: 2 + rng.Intn(3), ModifyRange: 1 + rng.Intn(2)},
+			InterIteration: wrap,
+		}
+	}
+	return jobs
+}
+
+// BenchmarkEngineBatchServedMix measures the served cold mix end to
+// end on the worker pool: each iteration solves the servedMixJobs
+// batch with the cache off, so phase 1 (distance graph and cover)
+// carries the weight it carries in production, unlike the merge-bound
+// N=20 batch above.
+func BenchmarkEngineBatchServedMix(b *testing.B) {
+	jobs := servedMixJobs(b)
+	e := engine.New(engine.Options{Workers: 8, CacheSize: -1})
+	defer e.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, res := range e.RunBatch(context.Background(), jobs) {
+			if res.Err != nil {
+				b.Fatal(res.Err)
+			}
+		}
 	}
 }
 

@@ -30,12 +30,14 @@ func benchOut(suffix string, rows ...benchRow) string {
 }
 
 // gatedRows is a typical gated set: batch, parallel and traced batch
-// at the given ns/op, the untraced batch at allocs allocs/op.
+// at the given ns/op, the untraced batch at allocs allocs/op, and the
+// served-mix batch at a fixed 150µs.
 func gatedRows(batch, parallel, traced float64, allocs int) []benchRow {
 	return []benchRow{
 		{batchBench, batch, allocs},
 		{parallelBench, parallel, 900},
 		{tracedBench, traced, allocs - 80},
+		{servedMixBench, 150e3, 300},
 	}
 }
 
@@ -67,6 +69,12 @@ func TestCompareBaselinesGate(t *testing.T) {
 			base:    []string{aa},
 			head:    []string{benchOut("-2", gatedRows(600e3, 1e6, 806e3, 1400)...)},
 			wantErr: tracedBench + " is 30.0% slower",
+		},
+		{
+			name:    "served mix +30% fails",
+			base:    []string{aa},
+			head:    []string{benchOut("-2", append(gatedRows(600e3, 1e6, 620e3, 1400)[:3], benchRow{servedMixBench, 195e3, 300})...)},
+			wantErr: servedMixBench + " is 30.0% slower",
 		},
 		{
 			name:    "+25% exactly passes",
@@ -211,7 +219,7 @@ func TestRunRoundsAlternates(t *testing.T) {
 			t.Errorf("round %d started with %s, want %s", r+1, got, first)
 		}
 	}
-	want := "-test.run ^$ -test.bench ^(BenchmarkEngineBatch|BenchmarkEngineParallelWarm|BenchmarkEngineBatchTraced)$ -test.benchmem -test.count 1"
+	want := "-test.run ^$ -test.bench ^(BenchmarkEngineBatch|BenchmarkEngineParallelWarm|BenchmarkEngineBatchTraced|BenchmarkEngineBatchServedMix)$ -test.benchmem -test.count 1"
 	if !strings.HasSuffix(calls[0], want) {
 		t.Errorf("run flags %q, want %q", calls[0], want)
 	}

@@ -77,13 +77,16 @@ var (
 	errNoPatternOrLoop = errors.New("needs a pattern or a loop")
 )
 
-// Check reports a job that sets both or neither of Pattern and Loop.
+// Check reports a job that sets both or neither of Pattern and Loop,
+// or whose pattern has more than model.MaxAccesses accesses.
 func (j *Job) Check() error {
 	switch {
 	case j.Pattern != nil && j.Loop != "":
 		return errPatternAndLoop
 	case j.Pattern == nil && j.Loop == "":
 		return errNoPatternOrLoop
+	case j.Pattern != nil && len(j.Pattern.Offsets) > model.MaxAccesses:
+		return fmt.Errorf("pattern has %d accesses, more than the %d allowed", len(j.Pattern.Offsets), model.MaxAccesses)
 	}
 	return nil
 }

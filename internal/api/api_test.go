@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"dspaddr/internal/model"
 )
 
 // The golden files under testdata pin the wire: a byte that moves
@@ -220,6 +222,8 @@ func TestSubmitEntries(t *testing.T) {
 		{"none", Submit{}, 0, "submission has no jobs"},
 		{"empty job", Submit{Jobs: []Job{pat, {}}}, 0, "job 1 needs a pattern or a loop"},
 		{"pattern and loop", Submit{Jobs: []Job{{Pattern: pat.Pattern, Loop: loop.Loop}}}, 0, "job 0 sets both pattern and loop; pick one"},
+		{"max accesses", Submit{Job: Job{Pattern: &Pattern{Offsets: make([]int, model.MaxAccesses)}}}, 1, ""},
+		{"too many accesses", Submit{Jobs: []Job{pat, {Pattern: &Pattern{Offsets: make([]int, model.MaxAccesses+1)}}}}, 0, "job 1 pattern has 4097 accesses, more than the 4096 allowed"},
 	} {
 		got, err := tc.sub.Entries()
 		errText := ""

@@ -74,7 +74,7 @@ type Result struct {
 }
 
 // Solver runs the two-phase allocator with a private set of reusable
-// workspaces: the distance graph's adjacency storage, the phase-1
+// workspaces: the distance graph's bit matrix, the phase-1
 // matcher and branch-and-bound scratch, and the phase-2 merge buffers.
 // A solver serving a stream of requests (one per engine worker) stops
 // rebuilding its model objects from heap on every solve; results never

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dspaddr/internal/model"
+	"dspaddr/internal/workload"
 )
 
 // fig1Edges is the exact edge set of the paper's Figure 1 (0-based):
@@ -28,7 +29,7 @@ func TestFigure1EdgeSet(t *testing.T) {
 	if dg.EdgeCount() != len(fig1Edges) {
 		t.Fatalf("EdgeCount = %d, want %d", dg.EdgeCount(), len(fig1Edges))
 	}
-	if !dg.Intra.IsDAG() {
+	if !dg.Digraph().IsDAG() {
 		t.Fatal("distance graph must be a DAG")
 	}
 }
@@ -37,7 +38,7 @@ func TestPaperExamplePath(t *testing.T) {
 	dg := MustBuild(model.PaperExample(), 1)
 	// The paper: subsequence (a1,a3,a5,a6) is a path in G.
 	p := model.Path{0, 2, 4, 5}
-	if !dg.Intra.IsPath([]int(p)) {
+	if !dg.Digraph().IsPath([]int(p)) {
 		t.Fatal("(a1,a3,a5,a6) should be a path in Figure 1")
 	}
 	if !dg.PathIsZeroCost(p, false) {
@@ -151,5 +152,78 @@ func TestLargerModifyRangeAddsEdges(t *testing.T) {
 	// M large enough connects every forward pair: n*(n-1)/2 edges.
 	if e4 != 21 {
 		t.Fatalf("M=4 should give complete forward graph, got %d edges", e4)
+	}
+}
+
+// The window-built bit matrices hold exactly the pairs the cost
+// predicates accept: Succ the later accesses ZeroIntra reaches, FillWrap
+// the no-later accesses ZeroWrap reaches. Index values, negative and
+// zero strides, and offsets too large for the window build (filled pair
+// by pair) are all covered.
+func TestBitMatricesMatchPredicates(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const huge = 1 << 62
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(140)
+		spread := 1 + rng.Intn(12)
+		offs := make([]int, n)
+		for i := range offs {
+			offs[i] = rng.Intn(2*spread+1) - spread
+			if trial%10 == 9 && rng.Intn(8) == 0 {
+				offs[i] += huge
+			}
+		}
+		var index []int
+		if trial%3 == 0 {
+			index = []int{rng.Intn(9) - 4, 3 + rng.Intn(6)}
+		}
+		pat := model.Pattern{Array: "A", Stride: rng.Intn(9) - 3, Offsets: offs}
+		dg, err := BuildIndexed(pat, rng.Intn(4), index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := dg.Words()
+		succ, wrap := dg.Succ(), dg.FillWrap(nil)
+		for i := 0; i < n; i++ {
+			last := -1
+			for j := 0; j < n; j++ {
+				bit := func(m []uint64) bool { return m[i*w+j/64]&(1<<(j%64)) != 0 }
+				wantIntra := j > i && dg.ZeroIntra(i, j)
+				if got := bit(succ); got != wantIntra {
+					t.Fatalf("trial %d: Succ(%d,%d) = %v, want %v (%v M=%d index=%v)", trial, i, j, got, wantIntra, pat, dg.M, index)
+				}
+				if wantIntra {
+					last = j
+				}
+				if got, want := bit(wrap), j <= i && dg.ZeroWrap(i, j); got != want {
+					t.Fatalf("trial %d: wrap(%d,%d) = %v, want %v (%v M=%d index=%v)", trial, i, j, got, want, pat, dg.M, index)
+				}
+			}
+			if got := dg.LastSucc(i); got != last {
+				t.Fatalf("trial %d: LastSucc(%d) = %d, want %d", trial, i, got, last)
+			}
+		}
+	}
+}
+
+// BenchmarkRebuild times one in-place rebuild of a random pattern of
+// the cold-solve sizes (N 32–64, M 1–2), cycling through 64 patterns.
+func BenchmarkRebuild(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	pats := make([]model.Pattern, 64)
+	for i := range pats {
+		p, err := workload.RandomPattern(rng, workload.RandomParams{N: 32 + rng.Intn(33), OffsetRange: 4 + rng.Intn(8), Dist: workload.Distribution(rng.Intn(3))})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pats[i] = p
+	}
+	var dg Graph
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := dg.Rebuild(pats[i%len(pats)], 1+i%2); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

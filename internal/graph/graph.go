@@ -29,31 +29,7 @@ type Edge struct {
 
 // New returns a digraph with n unlabelled nodes.
 func New(n int) *Digraph {
-	g := &Digraph{}
-	g.Reset(n)
-	return g
-}
-
-// Reset reinitializes the graph to n unlabelled, edge-free nodes,
-// reusing the adjacency storage of previous builds. It lets hot paths
-// that construct one graph per request recycle a single Digraph
-// instead of reallocating node and edge slices every time.
-func (g *Digraph) Reset(n int) {
-	if cap(g.labels) >= n && cap(g.adj) >= n && cap(g.in) >= n {
-		g.labels = g.labels[:n]
-		g.adj = g.adj[:n]
-		g.in = g.in[:n]
-	} else {
-		g.labels = make([]string, n)
-		g.adj = make([][]Edge, n)
-		g.in = make([]int, n)
-	}
-	for i := 0; i < n; i++ {
-		g.labels[i] = ""
-		g.adj[i] = g.adj[i][:0]
-		g.in[i] = 0
-	}
-	g.edges = 0
+	return &Digraph{labels: make([]string, n), adj: make([][]Edge, n), in: make([]int, n)}
 }
 
 // AddNode appends a node with the given label and returns its index.
@@ -79,9 +55,9 @@ func (g *Digraph) SetLabel(i int, label string) { g.labels[i] = label }
 // AddEdge inserts a directed edge u->v with the given weight. Duplicate
 // edges (same u,v) are rejected with an error; self-loops are allowed
 // (they arise as wrap edges of singleton paths). The adjacency list
-// stays sorted by target via positional insertion, so builders that add
-// edges in ascending target order (the distance-graph construction)
-// pay a plain append and no sort.
+// stays sorted by target via positional insertion: every call binary
+// searches the list for the insertion point, which doubles as the
+// duplicate check.
 func (g *Digraph) AddEdge(u, v, weight int) error {
 	if u < 0 || u >= g.N() || v < 0 || v >= g.N() {
 		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.N())

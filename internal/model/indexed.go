@@ -13,21 +13,27 @@ package model
 // by distance: 0 if |distance| <= modifyRange or |distance| equals one
 // of the index-register values, 1 otherwise.
 func TransitionCostIndexed(distance, modifyRange int, index []int) int {
-	if TransitionCost(distance, modifyRange) == 0 {
-		return 0
-	}
 	if distance < 0 {
 		distance = -distance
 	}
+	if distance <= modifyRange || len(index) > 0 && matchesIndex(distance, index) {
+		return 0
+	}
+	return 1
+}
+
+// matchesIndex reports whether the non-negative distance equals the
+// magnitude of one of the index values.
+func matchesIndex(distance int, index []int) bool {
 	for _, v := range index {
 		if v < 0 {
 			v = -v
 		}
 		if distance == v {
-			return 0
+			return true
 		}
 	}
-	return 1
+	return false
 }
 
 // CostIndexed is Path.Cost under the indexed cost model.

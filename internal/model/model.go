@@ -73,12 +73,19 @@ func (p Pattern) WrapDistance(i, j int) int {
 	return p.Offsets[j] + p.Stride - p.Offsets[i]
 }
 
+// MaxAccesses caps the accesses of one pattern. Phase 1 holds an
+// N×N bit matrix of the distance graph per solver, so the cap keeps it
+// at most 2 MiB.
+const MaxAccesses = 4096
+
 // Validate reports whether the pattern is well-formed: at least one
-// access and a non-zero stride direction is not required, but a nil
-// offsets slice is rejected.
+// and at most MaxAccesses accesses. A non-zero stride is not required.
 func (p Pattern) Validate() error {
 	if len(p.Offsets) == 0 {
 		return fmt.Errorf("model: pattern %q has no accesses", p.Array)
+	}
+	if len(p.Offsets) > MaxAccesses {
+		return fmt.Errorf("model: pattern %q has %d accesses, more than the %d allowed", p.Array, len(p.Offsets), MaxAccesses)
 	}
 	return nil
 }

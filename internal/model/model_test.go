@@ -78,6 +78,15 @@ func TestPatternValidate(t *testing.T) {
 	if err := PaperExample().Validate(); err != nil {
 		t.Fatalf("paper example should validate: %v", err)
 	}
+	for _, tc := range []struct {
+		n  int
+		ok bool
+	}{{MaxAccesses, true}, {MaxAccesses + 1, false}} {
+		err := NewPattern(make([]int, tc.n)...).Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%d accesses: err = %v, want accepted = %v", tc.n, err, tc.ok)
+		}
+	}
 }
 
 func TestPatternString(t *testing.T) {

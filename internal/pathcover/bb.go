@@ -28,9 +28,11 @@ const DefaultNodeBudget = 2_000_000
 // With wrap=false the problem is a minimum path cover of a DAG, solved
 // exactly in polynomial time via maximum matching. With wrap=true the
 // loop-back transition of every path must also be zero-cost; MinCover
-// then runs a branch-and-bound search seeded with the matching lower
-// bound and the greedy upper bound, mirroring the procedure of the
-// companion ASP-DAC'98 paper. If no zero-cost cover exists at all
+// then runs a branch-and-bound search seeded with the greedy upper
+// bound and, as the lower bound, the larger of the matching bound and
+// the assignment bound (assign.go), mirroring the procedure of the
+// companion ASP-DAC'98 paper. The search stops as soon as its best
+// cover meets the lower bound. If no zero-cost cover exists at all
 // (possible only when the loop stride exceeds the modify range), the
 // returned cover is the intra-iteration optimum with ZeroCost=false.
 //
@@ -63,6 +65,9 @@ type bbSearch struct {
 	pruned    int
 	exhausted bool
 	best      int
+	// lb is the root lower bound: once best reaches it no leaf can
+	// improve, and the search unwinds.
+	lb int
 	// ctxDone, when non-nil, is polled every ctxCheckMask+1 explored
 	// nodes; a fired channel sets aborted and unwinds the search
 	// without touching the explored-tree bookkeeping.
@@ -133,7 +138,7 @@ func (s *bbSearch) init(dg *distgraph.Graph, budget int, ctxDone <-chan struct{}
 	} else {
 		clear(s.offIDs)
 	}
-	s.offID = resizeInts(s.offID, n)
+	s.offID = resize(s.offID, n)
 	for i, d := range dg.Pattern.Offsets {
 		id, ok := s.offIDs[d]
 		if !ok {
@@ -153,14 +158,9 @@ func (s *bbSearch) init(dg *distgraph.Graph, budget int, ctxDone <-chan struct{}
 		s.undo = make([]triedUndo, 0, 2*n)
 	}
 	s.undo = s.undo[:0]
-	s.lastSucc = resizeInts(s.lastSucc, n)
+	s.lastSucc = resize(s.lastSucc, n)
 	for v := 0; v < n; v++ {
-		succ := dg.Intra.Out(v)
-		if len(succ) == 0 {
-			s.lastSucc[v] = -1
-		} else {
-			s.lastSucc[v] = succ[len(succ)-1].To
-		}
+		s.lastSucc[v] = dg.LastSucc(v)
 	}
 	if cap(s.open) < n {
 		s.open = make([]model.Path, 0, n)
@@ -194,6 +194,7 @@ func (s *bbSearch) run() {
 // same graph with all scratch storage warm (used by the zero-alloc
 // test and benchmark).
 func (s *bbSearch) reset() {
+	s.lb = 0
 	s.nodes = 0
 	s.pruned = 0
 	s.exhausted = false
@@ -207,7 +208,7 @@ func (s *bbSearch) reset() {
 const ctxCheckMask = 255
 
 func (s *bbSearch) place(i int) {
-	if s.exhausted || s.aborted {
+	if s.exhausted || s.aborted || s.best <= s.lb {
 		return
 	}
 	s.nodes++

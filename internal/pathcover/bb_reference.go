@@ -1,8 +1,11 @@
-// Reference branch-and-bound search, retained verbatim from before the
+// Reference branch-and-bound search, retained from before the
 // zero-allocation rewrite: it allocates a dedup map per search node and
 // clones the open path set on every improvement. The differential tests
 // assert the rewritten search in bb.go explores the identical tree
-// (same cover, same exactness, same node count).
+// (same cover, same exactness, same node count). It shares the root
+// lower bound — the assignment bound, computed by the same code — and
+// the stop once the best cover meets it, so the trees stay comparable;
+// the bound itself is checked against brute force in the tests.
 
 package pathcover
 
@@ -21,7 +24,8 @@ func minCoverReference(dg *distgraph.Graph, wrap bool, opts *Options) Cover {
 		budget = opts.NodeBudget
 	}
 
-	lb := LowerBound(dg)
+	matchL, matchR, size := hopcroftKarp(intraBipartite(dg))
+	lb := dg.N() - size
 	s := &refBBSearch{dg: dg, n: dg.N(), budget: budget, best: int(^uint(0) >> 1)}
 
 	if greedy := GreedyCover(dg, true); coverZeroCost(dg, greedy, true) {
@@ -30,6 +34,15 @@ func minCoverReference(dg *distgraph.Graph, wrap bool, opts *Options) Cover {
 		if s.best == lb {
 			return Cover{Paths: sortPaths(s.bestPaths), ZeroCost: true, Exact: true, Nodes: dg.N()}
 		}
+	}
+	var a assigner
+	alb, ok, _ := a.bound(dg, matchL, matchR, nil)
+	if !ok {
+		return Cover{Paths: sortPaths(MinCoverDAG(dg)), Exact: true, Nodes: dg.N()}
+	}
+	s.lb = max(lb, alb)
+	if s.best == s.lb {
+		return Cover{Paths: sortPaths(s.bestPaths), ZeroCost: true, Exact: true, Nodes: dg.N()}
 	}
 
 	s.run()
@@ -48,7 +61,7 @@ func minCoverReference(dg *distgraph.Graph, wrap bool, opts *Options) Cover {
 	return Cover{
 		Paths:    sortPaths(s.bestPaths),
 		ZeroCost: true,
-		Exact:    !s.exhausted || s.best == lb,
+		Exact:    !s.exhausted || s.best == s.lb,
 		Nodes:    s.nodes,
 	}
 }
@@ -61,6 +74,7 @@ type refBBSearch struct {
 	nodes     int
 	exhausted bool
 	best      int
+	lb        int
 	bestPaths []model.Path
 	open      []model.Path
 	badWrap   []bool
@@ -75,7 +89,7 @@ func (s *refBBSearch) run() {
 }
 
 func (s *refBBSearch) place(i int) {
-	if s.exhausted {
+	if s.exhausted || s.best <= s.lb {
 		return
 	}
 	s.nodes++
@@ -156,7 +170,10 @@ func (s *refBBSearch) place(i int) {
 // hasFutureSuccessor reports whether tail has any zero-cost successor
 // with index >= i.
 func (s *refBBSearch) hasFutureSuccessor(tail, i int) bool {
-	succ := s.dg.Intra.Out(tail)
-	// Successors are sorted ascending; the largest decides.
-	return len(succ) > 0 && succ[len(succ)-1].To >= i
+	for j := i; j < s.n; j++ {
+		if s.dg.ZeroIntra(tail, j) {
+			return true
+		}
+	}
+	return false
 }

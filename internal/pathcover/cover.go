@@ -2,7 +2,6 @@ package pathcover
 
 import (
 	"dspaddr/internal/distgraph"
-	"dspaddr/internal/graph"
 	"dspaddr/internal/model"
 )
 
@@ -22,7 +21,8 @@ type Cover struct {
 	// Nodes counts the search effort spent: branch-and-bound states
 	// explored for the wrap objective, or one unit per access for the
 	// polynomial DAG case (and for a greedy seed that already meets
-	// the lower bound), so work counters stay comparable across modes.
+	// the lower bound, or a wrap objective the assignment bound proves
+	// infeasible), so work counters stay comparable across modes.
 	Nodes int
 	// Pruned counts branch-and-bound subtrees cut by the bound, the
 	// bad-wrap feasibility count and the reachability prune (0 for the
@@ -54,21 +54,11 @@ func LowerBound(dg *distgraph.Graph) int {
 	return n - size
 }
 
-// fillBipartite views the intra-iteration distance graph as the
-// bipartite out/in-copy graph of the matcher, writing the adjacency
-// headers into adj (which must have length dg.N()). The headers alias
-// the digraph's own edge storage; nothing is copied.
-func fillBipartite(adj [][]graph.Edge, dg *distgraph.Graph) bipartite {
-	n := dg.N()
-	for u := 0; u < n; u++ {
-		adj[u] = dg.Intra.Out(u)
-	}
-	return bipartite{nLeft: n, nRight: n, adj: adj}
-}
-
-// intraBipartite is fillBipartite with transient header storage.
+// intraBipartite views the intra-iteration distance graph as the
+// bipartite out/in-copy graph of the matcher. It aliases the graph's
+// bit matrix; nothing is copied.
 func intraBipartite(dg *distgraph.Graph) bipartite {
-	return fillBipartite(make([][]graph.Edge, dg.N()), dg)
+	return bipartite{n: dg.N(), words: dg.Words(), rows: dg.Succ()}
 }
 
 // MinCoverDAG computes an exact minimum path cover of the
@@ -81,13 +71,12 @@ func MinCoverDAG(dg *distgraph.Graph) []model.Path {
 }
 
 // minCoverDAG is the scratch-backed core of MinCoverDAG: the matcher
-// state, the bipartite adjacency headers and the path store (one flat
-// index array plus headers) are all drawn from the scratch, so a warm
-// solve performs no allocation here. The returned paths are valid
-// until the scratch's next use.
+// state and the path store (one flat index array plus headers) are
+// drawn from the scratch, so a warm solve performs no allocation here.
+// The returned paths are valid until the scratch's next use.
 func (sc *Scratch) minCoverDAG(dg *distgraph.Graph) []model.Path {
 	n := dg.N()
-	matchL, matchR, _ := sc.match.run(sc.bipartite(dg))
+	matchL, matchR, _ := sc.match.run(intraBipartite(dg))
 
 	sc.dagFlat = sc.dagFlat[:0]
 	if cap(sc.dagFlat) < n {

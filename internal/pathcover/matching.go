@@ -12,27 +12,31 @@
 // companion ASP-DAC'98 paper [3]) closes the gap.
 package pathcover
 
-import "dspaddr/internal/graph"
+import "math/bits"
 
-// bipartite is an adjacency-list bipartite graph with nLeft left nodes
-// and nRight right nodes used by the Hopcroft-Karp matcher. Adjacency
-// is expressed as edge slices (targets are the right nodes) so the
-// distance graph's own adjacency storage can be aliased directly
-// instead of copied per solve.
+// bipartite is the bit-matrix bipartite graph the Hopcroft-Karp
+// matcher runs on: n left and n right nodes, and row u (words words
+// of rows) holds left node u's right neighbours as set bits. The
+// distance graph's own matrix is aliased directly, and walking a row's
+// set bits visits the neighbours in ascending order.
 type bipartite struct {
-	nLeft, nRight int
-	adj           [][]graph.Edge // adj[u] lists right neighbours of left node u via Edge.To
+	n, words int
+	rows     []uint64
 }
+
+// row returns left node u's neighbour bits.
+func (g bipartite) row(u int) []uint64 { return g.rows[u*g.words : (u+1)*g.words] }
 
 // matcher carries the Hopcroft-Karp working state. Its backing slices
 // are reusable across runs (see matchScratch); methods replace the
 // former closure-based implementation so a solve performs no closure
 // allocations.
 type matcher struct {
-	g              bipartite
-	matchL, matchR []int
-	dist           []int
-	queue          []int
+	g               bipartite
+	matchL, matchR  []int
+	dist            []int
+	queue           []int
+	matched, unseen []uint64 // right-node bit sets of the BFS
 }
 
 const matchInf = int(^uint(0) >> 1)
@@ -43,11 +47,13 @@ const matchInf = int(^uint(0) >> 1)
 // are valid until its next run.
 func (mt *matcher) run(g bipartite) (matchL, matchR []int, size int) {
 	mt.g = g
-	mt.matchL = resizeInts(mt.matchL, g.nLeft)
-	mt.matchR = resizeInts(mt.matchR, g.nRight)
-	mt.dist = resizeInts(mt.dist, g.nLeft)
-	if cap(mt.queue) < g.nLeft {
-		mt.queue = make([]int, 0, g.nLeft)
+	mt.matchL = resize(mt.matchL, g.n)
+	mt.matchR = resize(mt.matchR, g.n)
+	mt.dist = resize(mt.dist, g.n)
+	mt.matched = resize(mt.matched, g.words)
+	mt.unseen = resize(mt.unseen, g.words)
+	if cap(mt.queue) < g.n {
+		mt.queue = make([]int, 0, g.n)
 	}
 	for i := range mt.matchL {
 		mt.matchL[i] = -1
@@ -56,7 +62,7 @@ func (mt *matcher) run(g bipartite) (matchL, matchR []int, size int) {
 		mt.matchR[i] = -1
 	}
 	for mt.bfs() {
-		for u := 0; u < g.nLeft; u++ {
+		for u := 0; u < g.n; u++ {
 			if mt.matchL[u] == -1 && mt.dfs(u) {
 				size++
 			}
@@ -65,9 +71,14 @@ func (mt *matcher) run(g bipartite) (matchL, matchR []int, size int) {
 	return mt.matchL, mt.matchR, size
 }
 
+// bfs layers the left nodes by alternating-path distance from the
+// free ones and reports whether some layered node has a free right
+// neighbour. It walks rows with word operations: unseen holds the
+// matched right nodes whose partner is not layered yet, so each row
+// costs O(words) plus one step per node it layers.
 func (mt *matcher) bfs() bool {
 	mt.queue = mt.queue[:0]
-	for u := 0; u < mt.g.nLeft; u++ {
+	for u := 0; u < mt.g.n; u++ {
 		if mt.matchL[u] == -1 {
 			mt.dist[u] = 0
 			mt.queue = append(mt.queue, u)
@@ -75,29 +86,41 @@ func (mt *matcher) bfs() bool {
 			mt.dist[u] = matchInf
 		}
 	}
+	clear(mt.matched)
+	for v, u := range mt.matchR {
+		if u != -1 {
+			mt.matched[v>>6] |= 1 << (v & 63)
+		}
+	}
+	copy(mt.unseen, mt.matched)
 	found := false
 	for qi := 0; qi < len(mt.queue); qi++ {
 		u := mt.queue[qi]
-		for _, e := range mt.g.adj[u] {
-			w := mt.matchR[e.To]
-			if w == -1 {
+		for wi, word := range mt.g.row(u) {
+			if word&^mt.matched[wi] != 0 {
 				found = true
-			} else if mt.dist[w] == matchInf {
+			}
+			for next := word & mt.unseen[wi]; next != 0; next &= next - 1 {
+				w := mt.matchR[wi<<6|bits.TrailingZeros64(next)]
 				mt.dist[w] = mt.dist[u] + 1
 				mt.queue = append(mt.queue, w)
 			}
+			mt.unseen[wi] &^= word
 		}
 	}
 	return found
 }
 
 func (mt *matcher) dfs(u int) bool {
-	for _, e := range mt.g.adj[u] {
-		w := mt.matchR[e.To]
-		if w == -1 || (mt.dist[w] == mt.dist[u]+1 && mt.dfs(w)) {
-			mt.matchL[u] = e.To
-			mt.matchR[e.To] = u
-			return true
+	for wi, word := range mt.g.row(u) {
+		for ; word != 0; word &= word - 1 {
+			v := wi<<6 | bits.TrailingZeros64(word)
+			w := mt.matchR[v]
+			if w == -1 || (mt.dist[w] == mt.dist[u]+1 && mt.dfs(w)) {
+				mt.matchL[u] = v
+				mt.matchR[v] = u
+				return true
+			}
 		}
 	}
 	mt.dist[u] = matchInf
@@ -111,11 +134,11 @@ func hopcroftKarp(g bipartite) (matchL, matchR []int, size int) {
 	return mt.run(g)
 }
 
-// resizeInts returns a length-n int slice, reusing buf's backing array
-// when it is large enough.
-func resizeInts(buf []int, n int) []int {
+// resize returns a length-n slice, reusing buf's backing array when
+// it is large enough.
+func resize[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]int, n)
+	return make([]T, n)
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dspaddr/internal/distgraph"
-	"dspaddr/internal/graph"
 	"dspaddr/internal/model"
 )
 
@@ -261,20 +260,24 @@ func TestMinCoverLargePatternTerminates(t *testing.T) {
 }
 
 func TestHopcroftKarpKnownCases(t *testing.T) {
-	edges := func(targets ...int) []graph.Edge {
-		out := make([]graph.Edge, len(targets))
-		for i, v := range targets {
-			out[i] = graph.Edge{To: v}
+	// rows builds a bit-matrix bipartite graph with one row per left
+	// node listing its right neighbours.
+	rows := func(adj ...[]int) bipartite {
+		g := bipartite{n: len(adj), words: 1, rows: make([]uint64, len(adj))}
+		for u, targets := range adj {
+			for _, v := range targets {
+				g.rows[u] |= 1 << v
+			}
 		}
-		return out
+		return g
 	}
 	// Perfect matching on K_{3,3}.
-	g := bipartite{nLeft: 3, nRight: 3, adj: [][]graph.Edge{edges(0, 1, 2), edges(0, 1, 2), edges(0, 1, 2)}}
+	g := rows([]int{0, 1, 2}, []int{0, 1, 2}, []int{0, 1, 2})
 	if _, _, size := hopcroftKarp(g); size != 3 {
 		t.Fatalf("K33 matching = %d, want 3", size)
 	}
 	// Augmenting-path case: naive greedy (0-0, then 1 stuck) would find 1.
-	g = bipartite{nLeft: 2, nRight: 2, adj: [][]graph.Edge{edges(0, 1), edges(0)}}
+	g = rows([]int{0, 1}, []int{0})
 	matchL, matchR, size := hopcroftKarp(g)
 	if size != 2 {
 		t.Fatalf("matching = %d, want 2", size)
@@ -283,7 +286,7 @@ func TestHopcroftKarpKnownCases(t *testing.T) {
 		t.Fatalf("expected 1-0 and 0-1: matchL=%v matchR=%v", matchL, matchR)
 	}
 	// Empty graph.
-	g = bipartite{nLeft: 2, nRight: 2, adj: [][]graph.Edge{edges(), edges()}}
+	g = rows(nil, nil)
 	if _, _, size := hopcroftKarp(g); size != 0 {
 		t.Fatal("empty graph should have empty matching")
 	}
@@ -324,12 +327,11 @@ func TestMonotoneDecreasingPattern(t *testing.T) {
 // work, and a context canceled mid-search unwinds with its error
 // instead of running the full branch-and-bound.
 func TestMinCoverCtxCancellation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	offs := make([]int, 24)
-	for i := range offs {
-		offs[i] = rng.Intn(7) - 3
-	}
-	pat := model.Pattern{Array: "A", Stride: 9, Offsets: offs}
+	// A stride above M leaves no singleton path wrap-free. On this
+	// pattern the assignment bound neither proves infeasibility nor
+	// meets a cover, so the search spends its whole node budget.
+	offs := []int{3, 4, 1, -3, -1, -1, 4, 3, -3, 4, 4, -4, 4, 3, -3, -1, 2, 2, -3, -2, 0, 1}
+	pat := model.Pattern{Array: "A", Stride: 3, Offsets: offs}
 	dg := distgraph.MustBuild(pat, 2)
 
 	pre, cancel := context.WithCancel(context.Background())

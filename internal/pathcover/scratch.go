@@ -1,8 +1,9 @@
 // Per-worker solve scratch for phase 1. A Scratch owns every reusable
 // workspace the cover computations need — the Hopcroft-Karp matcher
-// state, the bipartite adjacency headers, the flat DAG-cover path
-// store and the branch-and-bound search state — so a worker serving a
-// stream of requests stops paying a dozen heap allocations per solve.
+// state, the assignment bound's state and wrap bit matrix, the flat
+// DAG-cover path store and the branch-and-bound search state — so a
+// worker serving a stream of requests stops paying a dozen heap
+// allocations per solve.
 //
 // A Scratch is not safe for concurrent use. Covers produced through a
 // Scratch may alias its buffers and are valid only until its next use;
@@ -15,7 +16,6 @@ import (
 	"context"
 
 	"dspaddr/internal/distgraph"
-	"dspaddr/internal/graph"
 	"dspaddr/internal/model"
 	"dspaddr/internal/obs"
 )
@@ -24,28 +24,10 @@ import (
 // to use.
 type Scratch struct {
 	match    matcher
-	adj      [][]graph.Edge
+	assign   assigner
 	dagFlat  []int
 	dagPaths []model.Path
 	bb       bbSearch
-}
-
-// bipartite is fillBipartite with the scratch's reusable header
-// storage.
-func (sc *Scratch) bipartite(dg *distgraph.Graph) bipartite {
-	n := dg.N()
-	if cap(sc.adj) >= n {
-		sc.adj = sc.adj[:n]
-	} else {
-		sc.adj = make([][]graph.Edge, n)
-	}
-	return fillBipartite(sc.adj, dg)
-}
-
-// lowerBound is LowerBound through the scratch-backed matcher.
-func (sc *Scratch) lowerBound(dg *distgraph.Graph) int {
-	_, _, size := sc.match.run(sc.bipartite(dg))
-	return dg.N() - size
 }
 
 // MinCoverCtx is MinCover with cooperative cancellation and an
@@ -97,10 +79,11 @@ func minCoverCtx(ctx context.Context, dg *distgraph.Graph, wrap bool, opts *Opti
 		budget = opts.NodeBudget
 	}
 
-	lb := sc.lowerBound(dg)
+	matchL, matchR, size := sc.match.run(intraBipartite(dg))
+	lb := dg.N() - size
 
 	// The greedy seed often already meets the matching lower bound;
-	// checking it before constructing the search skips the search
+	// checking it first skips the assignment bound and the search
 	// initialization entirely on that fast path.
 	var seed []model.Path
 	if greedy := GreedyCover(dg, true); coverZeroCost(dg, greedy, true) {
@@ -110,8 +93,23 @@ func minCoverCtx(ctx context.Context, dg *distgraph.Graph, wrap bool, opts *Opti
 		}
 	}
 
+	alb, ok, aborted := sc.assign.bound(dg, matchL, matchR, ctx.Done())
+	if aborted {
+		return Cover{}, ctx.Err()
+	}
+	if !ok {
+		// No perfect assignment, so no zero-cost cover exists; fall
+		// back to the intra-iteration optimum.
+		return Cover{Paths: sortPaths(sc.minCoverDAG(dg)), Exact: true, Nodes: dg.N()}, nil
+	}
+	lb = max(lb, alb)
+	if seed != nil && len(seed) == lb {
+		return Cover{Paths: sortPaths(seed), ZeroCost: true, Exact: true, Nodes: dg.N()}, nil
+	}
+
 	s := &sc.bb
 	s.init(dg, budget, ctx.Done())
+	s.lb = lb
 	if seed != nil {
 		s.best = len(seed)
 	}
