@@ -217,6 +217,63 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestMalformedBodyErrorText pins the exact 400 body each POST route
+// answers for bodies encoding/json refuses, including bodies the
+// one-pass reader declines before encoding/json sees them. The
+// messages are in their wire form.
+func TestMalformedBodyErrorText(t *testing.T) {
+	ts := newTestServer(t, engine.Options{Workers: 1})
+	const (
+		unexpectedEOF = `unexpected EOF`
+		trailing      = `trailing data after JSON body`
+		unknownJobs   = `json: unknown field \"jobs\"`
+		bad1e3        = `json: cannot unmarshal number 1e3 into Go struct field AGU.jobs.agu.registers of type int`
+		leadingZero   = `invalid character '1' after array element`
+		badBool       = `json: cannot unmarshal bool into Go struct field AGU.jobs.agu.registers of type int`
+	)
+	for _, tc := range []struct {
+		body                  string
+		batch, allocate, jobs string
+	}{
+		{`{"pattern": [`, unexpectedEOF, unexpectedEOF, unexpectedEOF},
+		{"", `EOF`, `EOF`, `EOF`},
+		{`{"pattern":{"offsets":[1]},"agu":{"registers":1,"modifyRange":1},"zzz":1}`,
+			`json: unknown field \"pattern\"`, `json: unknown field \"zzz\"`, `json: unknown field \"zzz\"`},
+		{`{"jobs":[]} {}`, trailing, unknownJobs, trailing},
+		{`{"jobs":[{"loop":"x"}],"jobs":null} x`, trailing, unknownJobs, trailing},
+		{`{"jobs":[{"agu":{"registers":1e3}}]}`, bad1e3, unknownJobs, bad1e3},
+		{`{"jobs":[{"pattern":{"offsets":[1,01]}}]}`, leadingZero, leadingZero, leadingZero},
+		{`{"pattern":{"offsets":[99999999999999999999]}}`, `json: unknown field \"pattern\"`,
+			`json: cannot unmarshal number 99999999999999999999 into Go struct field Pattern.pattern.offsets of type int`,
+			`json: cannot unmarshal number 99999999999999999999 into Go struct field Pattern.Job.pattern.offsets of type int`},
+		{`{"priority":1.5,"jobs":[{"wrap":"yes"}]}`, `json: unknown field \"priority\"`, `json: unknown field \"priority\"`,
+			`json: cannot unmarshal number 1.5 into Go struct field Submit.priority of type int`},
+		{"{\"loop\":\"a\x01\"}", `invalid character '\\x01' in string literal`,
+			`invalid character '\\x01' in string literal`, `invalid character '\\x01' in string literal`},
+		{"\xef\xbb\xbf{}", `invalid character 'ï' looking for beginning of value`,
+			`invalid character 'ï' looking for beginning of value`, `invalid character 'ï' looking for beginning of value`},
+		{`{"Jobs":[{"Pattern":{"Offsets":[1]},"AGU":{"registers":true}}]}`, badBool, `json: unknown field \"Jobs\"`, badBool},
+	} {
+		for _, rt := range []struct{ route, msg string }{
+			{"/v1/batch", tc.batch}, {"/v1/allocate", tc.allocate}, {"/v1/jobs", tc.jobs},
+		} {
+			resp, err := http.Post(ts.URL+rt.route, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := `{"error":"bad request body: ` + rt.msg + `"}` + "\n"
+			if resp.StatusCode != http.StatusBadRequest || string(got) != want {
+				t.Errorf("%s %q: %d %s\nwant 400 %s", rt.route, tc.body, resp.StatusCode, got, want)
+			}
+		}
+	}
+}
+
 // TestMethodNotAllowed checks verbs are enforced per endpoint.
 func TestMethodNotAllowed(t *testing.T) {
 	ts := newTestServer(t, engine.Options{Workers: 1})

@@ -247,7 +247,12 @@ type Stats struct {
 // it would have before the crash.
 
 // EncodeRecord encodes a payload or result for the WAL.
-func EncodeRecord(v any) ([]byte, error) { return json.Marshal(v) }
+func EncodeRecord(v any) ([]byte, error) {
+	if b, ok := appendFast(nil, v); ok {
+		return b, nil
+	}
+	return json.Marshal(v)
+}
 
 // DecodeJobPayload decodes a WAL payload into a Job.
 func DecodeJobPayload(b []byte) (any, error) {

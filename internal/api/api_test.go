@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ import (
 // and must never be regenerated. The response goldens are compact JSON
 // without the opt-in "report" unless their name says otherwise.
 
-func golden(t *testing.T, name string) []byte {
+func golden(t testing.TB, name string) []byte {
 	t.Helper()
 	b, err := os.ReadFile("testdata/" + name)
 	if err != nil {
@@ -31,7 +32,8 @@ func golden(t *testing.T, name string) []byte {
 
 // TestGoldenResponses pins the exact response bytes: compact output,
 // the field order and names, omitted empties and HTML escaping. Each
-// golden decodes strictly into its type and renders back unchanged.
+// golden decodes strictly into its type and renders back unchanged,
+// with a Content-Length that matches the body.
 func TestGoldenResponses(t *testing.T) {
 	for _, tc := range []struct {
 		file   string
@@ -49,12 +51,15 @@ func TestGoldenResponses(t *testing.T) {
 			t.Fatalf("%s does not decode strictly into %T: %v", tc.file, tc.v, err)
 		}
 		rec := httptest.NewRecorder()
-		WriteJSON(rec, tc.status, tc.v)
+		WriteJSON(rec, tc.status, reflect.ValueOf(tc.v).Elem().Interface()) // by value, as handlers pass it
 		if rec.Code != tc.status || rec.Header().Get("Content-Type") != "application/json" {
 			t.Errorf("%s: status %d, Content-Type %q", tc.file, rec.Code, rec.Header().Get("Content-Type"))
 		}
 		if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
 			t.Errorf("%s: bytes changed\n got: %s\nwant: %s", tc.file, got, want)
+		}
+		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(want)) {
+			t.Errorf("%s: Content-Length %q for a %d-byte body", tc.file, cl, len(want))
 		}
 	}
 
@@ -124,17 +129,25 @@ func TestGoldenWAL(t *testing.T) {
 	}
 }
 
+// jobRunes are the characters of randomJob's strings, among them
+// every one JSON escapes by default.
+const jobRunes = "ax_<>&\"\\\n\té∑ 0"
+
+var jobPieces = strings.Split(jobRunes, "") // one piece per rune
+
+// randomString joins up to 11 pieces drawn from pieces.
+func randomString(rng *rand.Rand, pieces []string) string {
+	var sb strings.Builder
+	for n := rng.Intn(12); n > 0; n-- {
+		sb.WriteString(pieces[rng.Intn(len(pieces))])
+	}
+	return sb.String()
+}
+
 // randomJob draws a job over the whole wire shape, including strings
 // that JSON escapes.
 func randomJob(rng *rand.Rand) Job {
-	str := func() string {
-		runes := []rune("ax_<>&\"\\\n\té∑ 0")
-		out := make([]rune, rng.Intn(12))
-		for i := range out {
-			out[i] = runes[rng.Intn(len(runes))]
-		}
-		return string(out)
-	}
+	str := func() string { return randomString(rng, jobPieces) }
 	j := Job{
 		AGU:      AGU{Registers: rng.Intn(9) - 2, ModifyRange: rng.Intn(9) - 2},
 		Wrap:     rng.Intn(2) == 0,
@@ -261,6 +274,14 @@ func TestDecodeBodyStrict(t *testing.T) {
 	}
 }
 
+// decodeSeeds are hand-picked bodies at the edges of the strict
+// decoder, shared by the decode fuzz targets.
+var decodeSeeds = []string{
+	`{}`, `null`, `[]`, `{"pattern":null}`, `{"pattern":{"offsets":[]}}`,
+	`{"bindings":{}}`, `{"bindings":{"N":1,"N":2}}`, `{"agu":{"registers":1e3}}`,
+	`{"loop":"<\ud800"}`, "{\"loop\":\"\xff\"}", `{"zzz":1}`, `{"loop":"x"} 1`,
+}
+
 // FuzzDecodeJob: the strict decoder never panics, and any body it
 // accepts re-encodes to a job that decodes to an equal value.
 func FuzzDecodeJob(f *testing.F) {
@@ -271,11 +292,7 @@ func FuzzDecodeJob(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	for _, s := range []string{
-		`{}`, `null`, `[]`, `{"pattern":null}`, `{"pattern":{"offsets":[]}}`,
-		`{"bindings":{}}`, `{"bindings":{"N":1,"N":2}}`, `{"agu":{"registers":1e3}}`,
-		`{"loop":"<\ud800"}`, "{\"loop\":\"\xff\"}", `{"zzz":1}`, `{"loop":"x"} 1`,
-	} {
+	for _, s := range decodeSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,12 +1,12 @@
 package api
 
 import (
+	"encoding/json"
 	"math/rand"
 	"net/http"
 	"testing"
 
 	"dspaddr/internal/core"
-	"dspaddr/internal/model"
 	"dspaddr/internal/workload"
 )
 
@@ -21,23 +21,36 @@ func (w *countingWriter) Header() http.Header         { return w.h }
 func (w *countingWriter) WriteHeader(int)             {}
 func (w *countingWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
 
-// coldBatchResponse solves a 16-job batch shaped like perfbench's
-// cold-solve op: 12 patterns of N 32–64 under the intra-iteration
-// objective and 4 wrap-aware patterns of N 8–16, K 2–4, M 1–2. The
-// allocs carry the report only when report is set.
-func coldBatchResponse(b *testing.B, report bool) BatchResponse {
+// coldBatch draws a 16-job batch shaped like perfbench's cold-solve
+// op: 12 patterns of N 32–64 under the intra-iteration objective and
+// 4 wrap-aware patterns of N 8–16, K 2–4, M 1–2.
+func coldBatch() BatchRequest {
 	rng := rand.New(rand.NewSource(16))
-	resp := BatchResponse{Results: make([]JobResponse, 16), ElapsedMicros: 2500}
-	for i := range resp.Results {
+	req := BatchRequest{Jobs: make([]Job, 16)}
+	for i := range req.Jobs {
 		wrap := i >= 12
 		n := 32 + rng.Intn(33)
 		if wrap {
 			n = 8 + rng.Intn(9)
 		}
-		res, err := core.Allocate(workload.BenchPattern(rng, n), core.Config{
-			AGU:            model.AGUSpec{Registers: 2 + rng.Intn(3), ModifyRange: 1 + rng.Intn(2)},
-			InterIteration: wrap,
-		})
+		p := workload.BenchPattern(rng, n)
+		req.Jobs[i] = Job{
+			Pattern: &Pattern{Array: p.Array, Stride: p.Stride, Offsets: p.Offsets},
+			AGU:     AGU{Registers: 2 + rng.Intn(3), ModifyRange: 1 + rng.Intn(2)},
+			Wrap:    wrap,
+		}
+	}
+	return req
+}
+
+// coldBatchResponse solves coldBatch's jobs into their answer. The
+// allocs carry the report only when report is set.
+func coldBatchResponse(b *testing.B, report bool) BatchResponse {
+	jobs := coldBatch().Jobs
+	resp := BatchResponse{Results: make([]JobResponse, len(jobs)), ElapsedMicros: 2500}
+	for i, job := range jobs {
+		req := job.EngineRequest()
+		res, err := core.Allocate(req.Pattern, core.Config{AGU: req.AGU, InterIteration: req.InterIteration})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,6 +74,27 @@ func coldBatchResponse(b *testing.B, report bool) BatchResponse {
 		resp.Results[i] = JobResponse{Results: []Alloc{a}}
 	}
 	return resp
+}
+
+// BenchmarkDecodeBatch times the strict decode of coldBatch's body,
+// as a client encodes it; B/body is the body size.
+func BenchmarkDecodeBatch(b *testing.B) {
+	body, err := json.Marshal(coldBatch())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !decodePlain(body, new(BatchRequest)) {
+		b.Fatal("the one-pass reader declines the cold batch body")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var req BatchRequest
+		if err := decode(body, &req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(body)), "B/body")
 }
 
 // BenchmarkWriteJSONBatch times WriteJSON on a cold 16-job batch

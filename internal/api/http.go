@@ -9,15 +9,39 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // WriteJSON sends v as compact JSON, one line, with the given status
-// code.
+// code: the bytes json.Encoder.Encode writes, built whole so the
+// answer goes out with a Content-Length in one write.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	bp := bodyPool.Get().(*[]byte)
+	body, ok := appendFast((*bp)[:0], v)
+	if ok {
+		body = append(body, '\n')
+	} else {
+		buf := bytes.NewBuffer(body)
+		json.NewEncoder(buf).Encode(v) //nolint:errcheck // an unencodable value sends an empty body, as before
+		body = buf.Bytes()
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone — nothing left to do
+	w.Write(body) //nolint:errcheck // client gone — nothing left to do
+	if cap(body) <= maxPooledBody {
+		*bp = body
+		bodyPool.Put(bp)
+	}
 }
+
+// bodyPool recycles WriteJSON's body buffers (a ResponseWriter copies
+// what it is given). Buffers above maxPooledBody, such as a large job
+// listing, are left to the GC.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 64 << 10
 
 // WriteError sends the uniform error body.
 func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -36,8 +60,18 @@ func DecodeBody(r *http.Request, v any) ([]byte, error) {
 	return data, decode(data, v)
 }
 
-// decode strictly decodes one JSON value into v.
+// decode strictly decodes one JSON value into v: the one-pass reader
+// when the body is plain, encoding/json otherwise.
 func decode(data []byte, v any) error {
+	if decodePlain(data, v) {
+		return nil
+	}
+	return decodeStrict(data, v)
+}
+
+// decodeStrict is encoding/json's strict decode of one JSON value into
+// v, the judge of every body decodePlain declines.
+func decodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {

@@ -260,7 +260,8 @@ func combinedKey(entries []api.Job) uint64 {
 // ---- response passthrough -------------------------------------------
 
 // copyResponse writes a node's buffered response to the client
-// verbatim: status, body, Content-Type — and Retry-After, so node
+// verbatim, in one write with its Content-Length: status, body,
+// Content-Type — and Retry-After, so node
 // back-pressure (429 queue-full, 503 draining) reaches the client
 // with the NODE's timing, never a gateway-synthesized one.
 func copyResponse(w http.ResponseWriter, resp *nodeResponse) {
@@ -270,6 +271,7 @@ func copyResponse(w http.ResponseWriter, resp *nodeResponse) {
 	if ra := resp.header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(resp.body)))
 	w.WriteHeader(resp.status)
 	w.Write(resp.body) //nolint:errcheck // client gone — nothing left to do
 }

@@ -85,6 +85,29 @@ func TestTraceSpanOverflowCounted(t *testing.T) {
 	}
 }
 
+// TestTraceConcurrentOverflowCounted: reservations racing past
+// MaxSpans from several goroutines drop exactly the overflow.
+func TestTraceConcurrentOverflowCounted(t *testing.T) {
+	const workers, extra = 4, 5
+	tr := NewTrace("t-race")
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < MaxSpans+extra; i += workers {
+				tr.StartSpan("w").Attr("i", int64(i)).End()
+			}
+		}(g)
+	}
+	wg.Wait()
+	snap := tr.Snapshot("r", 200, "", 0)
+	tr.Release()
+	if len(snap.Spans) != MaxSpans || snap.DroppedSpans != extra {
+		t.Fatalf("kept %d spans, dropped %d; want %d and %d", len(snap.Spans), snap.DroppedSpans, MaxSpans, extra)
+	}
+}
+
 // TestTraceReservedSpanSurvivesOverflow: a slot reserved before the
 // trace fills keeps its span, timed from its Restart.
 func TestTraceReservedSpanSurvivesOverflow(t *testing.T) {

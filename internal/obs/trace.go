@@ -62,10 +62,10 @@ type Trace struct {
 	start time.Time
 
 	// n is the number of reservation attempts; it can race past
-	// MaxSpans, so readers clamp. dropped counts the overflow.
-	n       atomic.Int32
-	dropped atomic.Int32
-	spans   [MaxSpans]Span
+	// MaxSpans, so readers clamp, and the overflow n − MaxSpans is the
+	// dropped-span count.
+	n     atomic.Int32
+	spans [MaxSpans]Span
 }
 
 var tracePool = sync.Pool{New: func() any { return new(Trace) }}
@@ -76,7 +76,6 @@ func NewTrace(id string) *Trace {
 	t.id = id
 	t.start = time.Now()
 	t.n.Store(0)
-	t.dropped.Store(0)
 	return t
 }
 
@@ -123,7 +122,6 @@ func (t *Trace) StartSpan(name string) SpanHandle {
 	}
 	idx := t.n.Add(1) - 1
 	if idx >= MaxSpans {
-		t.dropped.Add(1)
 		return SpanHandle{idx: -1}
 	}
 	now := time.Now()
@@ -236,9 +234,9 @@ func (t *Trace) Snapshot(route string, status int, errText string, dur time.Dura
 	if t == nil {
 		return nil
 	}
-	n := int(t.n.Load())
+	n, dropped := int(t.n.Load()), 0
 	if n > MaxSpans {
-		n = MaxSpans
+		n, dropped = MaxSpans, n-MaxSpans
 	}
 	snap := &TraceSnapshot{
 		ID:             t.id,
@@ -247,7 +245,7 @@ func (t *Trace) Snapshot(route string, status int, errText string, dur time.Dura
 		Error:          errText,
 		StartedAt:      t.start,
 		DurationMicros: dur.Microseconds(),
-		DroppedSpans:   int(t.dropped.Load()),
+		DroppedSpans:   dropped,
 		Spans:          make([]SpanSnapshot, n),
 	}
 	for i := 0; i < n; i++ {
