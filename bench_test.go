@@ -204,6 +204,52 @@ func BenchmarkPhase2GreedyMerge(b *testing.B) {
 	}
 }
 
+// BenchmarkPhase2Exact sets the exact phase 2 ("optimal") beside the
+// paper's greedy merge on the served mix's intra-iteration jobs
+// (servedMixJobs; a job whose cover already fits K skips phase 2, as
+// in core). Each iteration reduces every such job once; cost/batch is
+// their summed unit-cost computations. Ungated: it is the row a
+// proposal to change the default strategy starts from.
+func BenchmarkPhase2Exact(b *testing.B) {
+	type job struct {
+		pat   model.Pattern
+		m, k  int
+		paths []model.Path
+	}
+	var jobs []job
+	for _, r := range servedMixJobs(b) {
+		if r.InterIteration {
+			continue
+		}
+		dg, err := distgraph.Build(r.Pattern, r.AGU.ModifyRange)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cover := pathcover.MinCover(dg, false, nil); cover.K() > r.AGU.Registers {
+			jobs = append(jobs, job{r.Pattern, r.AGU.ModifyRange, r.AGU.Registers, cover.Paths})
+		}
+	}
+	for _, s := range []merge.Strategy{merge.Optimal{}, merge.Greedy{}} {
+		b.Run(s.Name(), func(b *testing.B) {
+			var sc merge.Scratch
+			cost := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cost = 0
+				for _, j := range jobs {
+					a, err := merge.ReduceContext(context.Background(), s, j.paths, j.pat, j.m, false, j.k, &sc)
+					if err != nil {
+						b.Fatal(err)
+					}
+					cost += a.Cost(j.pat, j.m, false)
+				}
+			}
+			b.ReportMetric(float64(cost), "cost/batch")
+		})
+	}
+}
+
 // BenchmarkGreedyMergeLarge exercises the incremental greedy merge on
 // a wide phase-2 workload: ~48 singleton paths (offsets spread far
 // beyond the modify range) merged down to 4 registers, 44 rounds. The

@@ -82,17 +82,8 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var strat merge.Strategy
-	switch *strategy {
-	case "greedy":
-		strat = merge.Greedy{}
-	case "naive":
-		strat = merge.Naive{}
-	case "smallest":
-		strat = merge.SmallestTwo{}
-	case "optimal":
-		strat = merge.Optimal{}
-	default:
+	strat, _, ok := merge.ByName(*strategy)
+	if !ok {
 		return fmt.Errorf("unknown strategy %q", *strategy)
 	}
 

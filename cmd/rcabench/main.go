@@ -121,7 +121,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if want("a2") {
 		ran = true
-		rows, err := experiments.RunA2([]int{8, 12, 20, 30}, *k/2+1, *m, *trials, *seed)
+		rows, err := experiments.RunA2([]int{8, 12, 20, 30, 64, 128, 256}, *k/2+1, *m, *trials, *seed)
 		if err != nil {
 			return err
 		}

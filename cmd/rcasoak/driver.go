@@ -304,7 +304,10 @@ func (d *driver) reference(s workload.JobSpec) refVerdict {
 func (d *driver) solveReference(s workload.JobSpec) refVerdict {
 	ctx, cancel := context.WithTimeout(context.Background(), refSolveTimeout)
 	defer cancel()
-	cfg := core.Config{AGU: s.AGU, InterIteration: s.Wrap, Strategy: strategyByName(s.Strategy)}
+	// The generator only emits known names (an unknown one resolves to
+	// nil, which core treats as greedy).
+	strat, _, _ := merge.ByName(s.Strategy)
+	cfg := core.Config{AGU: s.AGU, InterIteration: s.Wrap, Strategy: strat}
 	if s.IsLoop() {
 		prog, err := frontend.Parse(s.Loop, s.Bindings)
 		if err != nil {
@@ -321,21 +324,6 @@ func (d *driver) solveReference(s workload.JobSpec) refVerdict {
 		return refVerdict{}
 	}
 	return refVerdict{cost: res.Cost, ok: true}
-}
-
-// strategyByName mirrors the server's resolution (unknown = greedy;
-// the generator only emits known names).
-func strategyByName(name string) merge.Strategy {
-	switch name {
-	case "naive":
-		return merge.Naive{}
-	case "smallest":
-		return merge.SmallestTwo{}
-	case "optimal":
-		return merge.Optimal{}
-	default:
-		return merge.Greedy{}
-	}
 }
 
 // checkResults compares a successful server answer against the local

@@ -28,6 +28,7 @@ import (
 	"sync"
 
 	"dspaddr/internal/core"
+	"dspaddr/internal/merge"
 )
 
 // DefaultCacheSize is the total entry cap (across all shards) used
@@ -44,7 +45,7 @@ type cacheKey struct {
 	registers   int32
 	modifyRange int32
 	flags       uint8
-	strategy    uint8
+	strategy    uint8 // merge.ByName's code
 }
 
 const (
@@ -53,26 +54,6 @@ const (
 	// keyFlagLoop separates whole-loop keys from pattern keys.
 	keyFlagLoop uint8 = 1 << 1
 )
-
-// strategyCode packs the merge-strategy name into one byte. "" and
-// "greedy" deliberately share a code — they select the same solve, so
-// unlike the old string keys they now share a cache entry too. The
-// second result is false for unknown names (rejected before keys are
-// built).
-func strategyCode(name string) (uint8, bool) {
-	switch name {
-	case "", "greedy":
-		return 0, true
-	case "naive":
-		return 1, true
-	case "smallest":
-		return 2, true
-	case "optimal":
-		return 3, true
-	default:
-		return 0, false
-	}
-}
 
 // digest is a 128-bit running hash: two 64-bit splitmix chains seeded
 // differently and fed transformed copies of each value, so a pair
@@ -114,7 +95,7 @@ func canonicalKey(req Request) cacheKey {
 	}
 	d.mixInt(len(offs))
 	d.mixInt(req.Pattern.Stride)
-	code, _ := strategyCode(req.Strategy)
+	_, code, _ := merge.ByName(req.Strategy)
 	var flags uint8
 	if req.InterIteration {
 		flags |= keyFlagWrap

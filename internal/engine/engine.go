@@ -65,29 +65,18 @@ type Request struct {
 	Strategy string
 }
 
-// strategyFor resolves the request's merge strategy name.
-func strategyFor(name string) (merge.Strategy, error) {
-	switch name {
-	case "", "greedy":
-		return merge.Greedy{}, nil
-	case "naive":
-		return merge.Naive{}, nil
-	case "smallest":
-		return merge.SmallestTwo{}, nil
-	case "optimal":
-		return merge.Optimal{}, nil
-	default:
-		return nil, fmt.Errorf("engine: unknown merge strategy %q", name)
+// checkStrategy rejects an unknown merge strategy name.
+func checkStrategy(name string) error {
+	if _, _, ok := merge.ByName(name); !ok {
+		return fmt.Errorf("engine: unknown merge strategy %q", name)
 	}
+	return nil
 }
 
 // config lowers the request to a core.Config. The strategy name must
 // already have been validated.
 func (r Request) config() core.Config {
-	s, err := strategyFor(r.Strategy)
-	if err != nil {
-		s = merge.Greedy{}
-	}
+	s, _, _ := merge.ByName(r.Strategy)
 	return core.Config{AGU: r.AGU, InterIteration: r.InterIteration, Strategy: s}
 }
 
@@ -372,7 +361,7 @@ func (e *Engine) processPattern(ctx context.Context, solver *core.Solver, req Re
 		e.stats.canceledJob()
 		return JobResult{Err: err, Elapsed: time.Since(start)}
 	}
-	if _, err := strategyFor(req.Strategy); err != nil {
+	if err := checkStrategy(req.Strategy); err != nil {
 		e.stats.failed()
 		return JobResult{Err: err, Elapsed: time.Since(start)}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -455,6 +456,53 @@ func TestCancellationFreesWorker(t *testing.T) {
 	}
 	if s := e.Stats(); s.Canceled == 0 {
 		t.Fatalf("stats.Canceled = 0, want >0: %+v", s)
+	}
+}
+
+// TestCancellationFreesWorkerOptimal is the same property for the
+// exact phase 2: an N=4096 "optimal" job merging 2,518 phase-1 paths
+// into two registers runs ~3 s on a 2-vCPU host, and canceling it
+// mid-merge frees the single worker within milliseconds.
+func TestCancellationFreesWorkerOptimal(t *testing.T) {
+	rng := rand.New(rand.NewSource(4096))
+	offs := make([]int, model.MaxAccesses)
+	for i := range offs {
+		offs[i] = rng.Intn(4000)
+	}
+	slow := Request{
+		Pattern:  model.NewPattern(offs...),
+		AGU:      model.AGUSpec{Registers: 2, ModifyRange: 0},
+		Strategy: "optimal",
+	}
+	e := New(Options{Workers: 1, CacheSize: -1})
+	defer e.Close()
+	// The same job with registers to spare is phase 1 alone; cancel
+	// well after that much time, inside the merge.
+	spare := slow
+	spare.AGU.Registers = model.MaxAccesses
+	start := time.Now()
+	if res := e.Run(context.Background(), spare); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	phase1 := time.Since(start)
+	ctx, cancel := context.WithCancel(context.Background())
+	canceled := make(chan time.Time, 1)
+	go func() {
+		time.Sleep(2*phase1 + 10*time.Millisecond)
+		canceled <- time.Now()
+		cancel()
+	}()
+	res := e.Run(ctx, slow)
+	if !errors.Is(res.Err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", res.Err)
+	}
+	if quick := e.Run(context.Background(), testRequest(0, 1, 2)); quick.Err != nil {
+		t.Fatalf("follow-up job after cancellation: %v", quick.Err)
+	}
+	if reclaimed := time.Since(<-canceled); reclaimed > 100*time.Millisecond {
+		t.Fatalf("worker reclaimed %v after the cancel", reclaimed)
+	} else {
+		t.Logf("worker reclaimed %v after the cancel", reclaimed)
 	}
 }
 

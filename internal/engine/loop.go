@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"dspaddr/internal/core"
+	"dspaddr/internal/merge"
 	"dspaddr/internal/model"
 	"dspaddr/internal/obs"
 )
@@ -77,7 +78,7 @@ func (e *Engine) processLoop(ctx context.Context, solver *core.Solver, req LoopR
 		e.stats.canceledJob()
 		return LoopJobResult{Err: err, Elapsed: time.Since(start)}
 	}
-	if _, err := strategyFor(req.Strategy); err != nil {
+	if err := checkStrategy(req.Strategy); err != nil {
 		e.stats.failed()
 		return LoopJobResult{Err: err, Elapsed: time.Since(start)}
 	}
@@ -134,7 +135,7 @@ func loopCanonicalKey(req LoopRequest) cacheKey {
 	}
 	d.mixInt(len(req.Loop.Accesses))
 	d.mixInt(req.Loop.Stride)
-	code, _ := strategyCode(req.Strategy)
+	_, code, _ := merge.ByName(req.Strategy)
 	flags := keyFlagLoop
 	if req.InterIteration {
 		flags |= keyFlagWrap

@@ -42,3 +42,28 @@ func TestRouteKeyTranslationInvariant(t *testing.T) {
 		t.Fatal(`"greedy" and "" routed differently`)
 	}
 }
+
+// The strategy codes are part of every cache and route key, so a
+// renumbering would re-home every job in a fleet: the digests below
+// pin each served name's route for one request.
+func TestRouteKeyStrategyCodesPinned(t *testing.T) {
+	for name, want := range map[string]uint64{
+		"":         0xb68413b02cd8e738,
+		"greedy":   0xb68413b02cd8e738,
+		"naive":    0x5c39ccb4ea42340,
+		"smallest": 0xd2d5535fc286936b,
+		"optimal":  0x1a7af998cffbf6c8,
+	} {
+		req := Request{
+			Pattern:  model.Pattern{Array: "A", Stride: 4, Offsets: []int{0, 1, 3, 6}},
+			AGU:      model.AGUSpec{Registers: 2, ModifyRange: 1},
+			Strategy: name,
+		}
+		if got := RouteKey(req); got != want {
+			t.Errorf("strategy %q: route key %#x, want %#x", name, got, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { RouteKey(req) }); allocs != 0 {
+			t.Errorf("strategy %q: key build allocates %v times", name, allocs)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -82,8 +83,9 @@ func A1Table(rows []A1Row) *stats.Table {
 type A2Row struct {
 	N, K                                      int
 	Greedy, Naive, Random, Smallest, Annealed float64
-	// Optimal is the exact minimum (dynamic programming over register
-	// tail profiles — merge.OptimalDP), available at every N.
+	// Optimal is the exact minimum for the intra-iteration objective
+	// (a cheapest matching of program-ordered arcs —
+	// pathcover.MinCostCover), polynomial at every N.
 	Optimal float64
 }
 
@@ -122,7 +124,10 @@ func RunA2(ns []int, k, m, trials int, seed int64) ([]A2Row, error) {
 			sa := merge.Anneal(cover.Paths, pat, m, false, k,
 				rand.New(rand.NewSource(seed^int64(trial))), &merge.AnnealOptions{Steps: 3000})
 			an.AddInt(sa.Cost(pat, m, false))
-			_, cost := merge.OptimalDP(pat, m, k)
+			_, cost, err := pathcover.MinCostCover(context.Background(), dg, k, nil)
+			if err != nil {
+				return nil, err
+			}
 			op.AddInt(cost)
 		}
 		rows = append(rows, A2Row{

@@ -186,7 +186,7 @@ func TestA2StrategyOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		// The DP optimum is exact at every N: no strategy may beat it,
+		// The optimum is exact at every N: no strategy may beat it,
 		// and every strategy's mean sits at or above it.
 		for name, mean := range map[string]float64{
 			"greedy": r.Greedy, "naive": r.Naive, "random": r.Random,

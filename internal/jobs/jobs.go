@@ -323,7 +323,8 @@ type Manager struct {
 	// Close has held the write side, no new record can slip into the
 	// queue after the drain (where it would sit queued forever with
 	// the dispatchers gone — or block the submitter on a stale ready
-	// token).
+	// token). Dispatchers hold it likewise from their closed-check to
+	// a job's start, so no job starts under a canceled base context.
 	closeMu   sync.RWMutex
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -517,8 +518,10 @@ func (m *Manager) Close() {
 		m.closeMu.Unlock()
 	})
 	m.closeOnce.Do(func() {
+		m.closeMu.Lock()
 		close(m.closed)
 		m.baseCancel()
+		m.closeMu.Unlock()
 	})
 	now := time.Now()
 	// Drained records transition first, then their finish records go to
@@ -853,9 +856,20 @@ func (m *Manager) dispatch() {
 		if rec == nil {
 			continue // drained by Close
 		}
+		// Under closeMu (see Manager), a job starts before Close cancels
+		// the base context or is aborted as Close's drain does.
+		m.closeMu.RLock()
+		select {
+		case <-m.closed:
+			m.closeMu.RUnlock()
+			m.finishAborted(rec, time.Now(), ErrShutdown)
+			continue
+		default:
+		}
 		rec.mu.Lock()
 		if rec.state != StateQueued { // canceled while waiting
 			rec.mu.Unlock()
+			m.closeMu.RUnlock()
 			continue
 		}
 		now := time.Now()
@@ -865,6 +879,7 @@ func (m *Manager) dispatch() {
 		rec.cancel = cancel
 		payload := rec.payload
 		rec.mu.Unlock()
+		m.closeMu.RUnlock()
 		if rec.traceID != "" {
 			ctx = withTraceID(ctx, rec.traceID)
 		}

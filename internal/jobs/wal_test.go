@@ -332,6 +332,59 @@ func TestWALShutdownAbortsDurably(t *testing.T) {
 	}
 }
 
+// TestWALShutdownPopAfterClose forces the interleaving behind a rare
+// TestWALShutdownAbortsDurably failure: Close has closed the manager
+// and canceled the base context, and the runner freed by that cancel
+// pops the next queued job before Close drains the queue. That job
+// never started before the shutdown, so it must record ErrShutdown,
+// not the canceled context it would run under.
+func TestWALShutdownPopAfterClose(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		dir := t.TempDir()
+		log1, _ := openWAL(t, dir)
+		opts := Options{
+			Runners: 1,
+			WAL:     log1,
+			Run: func(ctx context.Context, payload any) (any, error) {
+				<-ctx.Done()
+				return nil, ctx.Err()
+			},
+		}
+		walCodecs(&opts)
+		m := New(opts)
+		if _, err := m.SubmitAll([]any{"a", "b", "c", "d"}, 0); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); m.running.Load() == 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("runner never started")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		// Close's first step alone; the runner gets time to pop.
+		m.closeOnce.Do(func() {
+			m.closeMu.Lock()
+			close(m.closed)
+			m.baseCancel()
+			m.closeMu.Unlock()
+		})
+		time.Sleep(20 * time.Millisecond)
+		m.Close()
+
+		log2, rep := openWAL(t, dir)
+		aborted := 0
+		for _, j := range rep.Jobs {
+			if j.State == wal.StateCanceled && j.Err == ErrShutdown.Error() {
+				aborted++
+			}
+		}
+		log2.Close()
+		if aborted != 3 {
+			t.Fatalf("round %d: %d of 3 never-started jobs recorded the shutdown reason", round, aborted)
+		}
+	}
+}
+
 // waitDone polls via the shared waitState helper and asserts the
 // terminal state reached is StateDone.
 func waitDone(t *testing.T, m *Manager, id string) {

@@ -3,7 +3,10 @@
 // physical registers K, pairs of paths are merged — order-preservingly —
 // until only K remain. The paper's heuristic always merges the pair
 // whose merged path has minimal cost C(P_i ⊕ P_j); the paper's baseline
-// ("naive") merges arbitrary pairs. Additional strategies (random,
+// ("naive") merges arbitrary pairs. Optimal is exact for the
+// intra-iteration objective: it serves a minimum-cost matching of
+// program-ordered arcs from pathcover.MinCostCover, and the greedy
+// merge when wrap is set. Additional strategies (random,
 // smallest-two, exhaustive optimal, simulated annealing) support the
 // ablation experiments.
 //
@@ -25,8 +28,10 @@ import (
 	"fmt"
 	"math/rand"
 
+	"dspaddr/internal/distgraph"
 	"dspaddr/internal/model"
 	"dspaddr/internal/obs"
+	"dspaddr/internal/pathcover"
 )
 
 // Strategy reduces a path set to at most k paths. Implementations must
@@ -145,6 +150,9 @@ type Scratch struct {
 	state mergeState
 	bufs  []model.Path
 	heap  minHeap[pairItem]
+	// dg and cover are Optimal's distance graph and assignment state.
+	dg    distgraph.Graph
+	cover pathcover.Scratch
 }
 
 // mergeState is the shared slot bookkeeping of the incremental
@@ -428,6 +436,25 @@ func (SmallestTwo) Reduce(paths []model.Path, pat model.Pattern, m int, wrap boo
 	return ps
 }
 
+// ByName resolves a strategy name as requests spell it: "" or
+// "greedy" (the paper's heuristic), "naive", "smallest" or "optimal".
+// code is the name's stable one-byte identity, which cache and routing
+// keys embed ("" and "greedy" share 0, as they share a solve); ok is
+// false for any other name.
+func ByName(name string) (s Strategy, code uint8, ok bool) {
+	switch name {
+	case "", "greedy":
+		return Greedy{}, 0, true
+	case "naive":
+		return Naive{}, 1, true
+	case "smallest":
+		return SmallestTwo{}, 2, true
+	case "optimal":
+		return Optimal{}, 3, true
+	}
+	return nil, 0, false
+}
+
 // Reduce runs the strategy and wraps the result in an Assignment.
 func Reduce(s Strategy, paths []model.Path, pat model.Pattern, m int, wrap bool, k int) (model.Assignment, error) {
 	return ReduceContext(context.Background(), s, paths, pat, m, wrap, k, nil)
@@ -435,11 +462,12 @@ func Reduce(s Strategy, paths []model.Path, pat model.Pattern, m int, wrap bool,
 
 // ReduceContext is Reduce with cooperative cancellation and an
 // optional reusable scratch. The default (greedy) strategy checks ctx
-// once per merge round and abandons the reduction with ctx's error
-// when it fires; the other strategies complete regardless (their
-// reductions are short — the ablation-only exhaustive search is never
-// on the serving path). A nil scratch uses a transient one. On success
-// the assignment is byte-identical to Reduce's for the same inputs.
+// once per merge round, and the exact one (optimal) throughout its
+// augmentations; both abandon the reduction with ctx's error when it
+// fires. The other strategies complete regardless (their reductions
+// are short — the ablation-only exhaustive search is never on the
+// serving path). A nil scratch uses a transient one. On success the
+// assignment is byte-identical to Reduce's for the same inputs.
 //
 // When ctx carries an obs.Trace, a "merge" span is recorded with the
 // input path count, the number of merge rounds committed and the
@@ -450,15 +478,18 @@ func ReduceContext(ctx context.Context, s Strategy, paths []model.Path, pat mode
 	}
 	sp := obs.FromContext(ctx).StartSpan("merge")
 	var out []model.Path
-	if _, greedy := s.(Greedy); greedy {
-		var err error
+	var err error
+	switch s.(type) {
+	case Greedy:
 		out, err = greedyReduce(ctx, paths, pat, m, wrap, k, sc)
-		if err != nil {
-			sp.Note("aborted").End()
-			return model.Assignment{}, err
-		}
-	} else {
+	case Optimal:
+		out, err = optimalReduce(ctx, paths, pat, m, wrap, k, sc)
+	default:
 		out = s.Reduce(paths, pat, m, wrap, k)
+	}
+	if err != nil {
+		sp.Note("aborted").End()
+		return model.Assignment{}, err
 	}
 	a := model.Assignment{Paths: out}.Normalize()
 	if err := a.Validate(pat); err != nil {

@@ -1,42 +1,85 @@
 package pathcover
 
 import (
+	"context"
 	"math/bits"
 
 	"dspaddr/internal/distgraph"
+	"dspaddr/internal/model"
 )
 
-// The wrap objective's assignment bound. Every zero-cost wrap cover is
-// a perfect assignment of each access to a successor: the next access
-// on its path (a later access, reached at zero intra cost: cost 0), or,
-// for the path's last access, the path's first access (an access no
-// later than itself, reached by a zero-cost wrap: cost 1). The cover's
-// path count equals its assignment's cost, so the minimum-cost perfect
-// assignment bounds K~ from below, and if no perfect assignment exists
-// no zero-cost wrap cover does. The bound is the linear assignment
-// relaxation (Kuhn's Hungarian method): a cheapest assignment may
-// close a cycle with several backward steps, which no path can.
+// The assignment solver. Two questions of the allocator are cheapest
+// assignments of accesses to successors over arcs that cost 0 or 1:
 //
-// It is never weaker than the matching bound: the cost-0 steps of any
-// assignment are a matching of the intra-iteration graph.
-
-// assigner computes the bound by successive shortest augmenting paths
+//   - Phase 1's wrap bound. A zero-cost wrap cover is a perfect
+//     assignment: each access is followed by a later access at zero
+//     intra cost (cost 0) or closes its path with a zero-cost wrap to
+//     an access no later than itself (cost 1). The cheapest perfect
+//     assignment (Kuhn's Hungarian method) thus bounds K~ from below,
+//     and if none exists neither does a zero-cost wrap cover. It is
+//     a relaxation (a cycle may take several backward steps, which no
+//     path can), never weaker than the matching bound.
+//   - Phase 2's exact merge (MinCostCover). Without the wrap term a
+//     cover by k program-ordered paths is a matching of N − k arcs
+//     i→j (i < j), costing 0 on a distance-graph edge and 1 otherwise,
+//     so the cheapest such matching is the cheapest cover (Gebotys,
+//     ICCAD 1997).
+//
+// assigner answers both by successive shortest augmenting paths
 // (Dijkstra on reduced costs with left/right potentials y, z). It
 // starts from the Hopcroft-Karp matching of the intra-iteration graph
 // with zero potentials — all its edges cost 0, so they are tight and
-// it is a cheapest matching of its size — and augments only the
-// k = N − |matching| missing rows, walking both bit matrices' set bits.
+// it is a cheapest matching of its size — and each augmentation keeps
+// the matching a cheapest one of its size.
 type assigner struct {
 	n, words       int
-	intra, wrap    []uint64
+	zero, one      []uint64 // cost-0 and cost-1 arcs, one row per left node
+	later          bool     // every later right node is a cost-1 arc (one unused)
 	matchL, matchR []int
 	y, z           []int // left and right potentials
 	distL, distR   []int
-	prevR          []int    // left node that last lowered distR[v]
-	heap           []uint64 // (dist<<32 | right node), a binary min-heap
-	ctxDone        <-chan struct{}
-	pops           int
-	aborted        bool
+	prevR          []int // left node that last lowered distR[v]
+	// The queue is a segment tree over the right nodes, leaf v at
+	// size+v. Per tree node: lo is the least −z of its unsettled
+	// leaves, offer a tentative distance-plus-z for all its leaves made
+	// by left node from (a whole suffix relaxes in O(log N) this way),
+	// and best the least tentative distance among its leaves counting
+	// the offers at or below it.
+	size                  int
+	lo, offer, best, from []int
+	ctxDone               <-chan struct{}
+	work                  int // queue work since ctxDone was last polled
+	aborted               bool
+}
+
+// noOffer is the queue's infinity. Sums of two stay in range, and a
+// subtree with no unsettled leaf keeps a best above noOffer/2.
+const noOffer = 1 << 40
+
+// pollWork is how much work (set bits and row words visited, plus
+// tree nodes reset) the solver does between polls of ctxDone: well
+// under a millisecond.
+const pollWork = 1 << 14
+
+// init loads the cost-0 arcs (dg's Succ) and a copy of the starting
+// matching (matchL, matchR), with zero potentials. The caller sets
+// the cost-1 arcs.
+func (a *assigner) init(dg *distgraph.Graph, matchL, matchR []int, ctxDone <-chan struct{}) {
+	n := dg.N()
+	a.n, a.words, a.zero = n, dg.Words(), dg.Succ()
+	a.matchL = append(a.matchL[:0], matchL...)
+	a.matchR = append(a.matchR[:0], matchR...)
+	a.y, a.z = resize(a.y, n), resize(a.z, n)
+	clear(a.y)
+	clear(a.z)
+	a.distL, a.distR, a.prevR = resize(a.distL, n), resize(a.distR, n), resize(a.prevR, n)
+	a.size = 1 << bits.Len(uint(n-1))
+	a.lo, a.offer = resize(a.lo, 2*a.size), resize(a.offer, 2*a.size)
+	a.best, a.from = resize(a.best, 2*a.size), resize(a.from, 2*a.size)
+	for x := a.size + n; x < 2*a.size; x++ { // padding: never a candidate
+		a.lo[x], a.offer[x], a.best[x] = noOffer, noOffer, noOffer
+	}
+	a.ctxDone, a.work, a.aborted = ctxDone, 0, false
 }
 
 // bound returns the minimum cost of a perfect assignment of dg
@@ -44,36 +87,16 @@ type assigner struct {
 // matching (matchL, matchR), which it does not modify. It polls
 // ctxDone like the search does and reports aborted when it fires.
 func (a *assigner) bound(dg *distgraph.Graph, matchL, matchR []int, ctxDone <-chan struct{}) (cost int, ok, aborted bool) {
-	n := dg.N()
-	a.n, a.words = n, dg.Words()
-	a.intra = dg.Succ()
-	a.wrap = dg.FillWrap(a.wrap)
-	a.matchL = append(a.matchL[:0], matchL...)
-	a.matchR = append(a.matchR[:0], matchR...)
-	a.y = resize(a.y, n)
-	a.z = resize(a.z, n)
-	clear(a.y)
-	clear(a.z)
-	a.distL = resize(a.distL, n)
-	a.distR = resize(a.distR, n)
-	a.prevR = resize(a.prevR, n)
-	a.ctxDone, a.pops, a.aborted = ctxDone, 0, false
-
+	a.init(dg, matchL, matchR, ctxDone)
+	a.one, a.later = dg.FillWrap(a.one), false
 	free := 0
 	for _, v := range a.matchL {
 		if v == -1 {
 			free++
 		}
 	}
-	for ; free > 0; free-- {
-		t := a.shortestPath()
-		if a.aborted {
-			return 0, false, true
-		}
-		if t == -1 {
-			return 0, false, false
-		}
-		a.augment(t)
+	if !a.grow(free) {
+		return 0, false, a.aborted
 	}
 	for u, v := range a.matchL {
 		if v <= u {
@@ -83,47 +106,97 @@ func (a *assigner) bound(dg *distgraph.Graph, matchL, matchR []int, ctxDone <-ch
 	return cost, true, false
 }
 
+// MinCostCover computes phase 2 exactly for the intra-iteration
+// objective: a cover of dg's accesses by at most k program-ordered
+// paths whose summed transition cost is minimal, and that cost. It
+// matches as phase 1 does, then makes the K~ − k cheapest
+// augmentations, each O(N log N) plus a scan of the Succ rows reached;
+// a budget of one register (or fewer) admits only the access order. ctx is polled throughout; on
+// cancellation the solve is abandoned with ctx's error. A nil scratch
+// uses a transient one. The paths are in order of first access and
+// owned by the caller.
+func MinCostCover(ctx context.Context, dg *distgraph.Graph, k int, sc *Scratch) ([]model.Path, int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
+	if sc == nil {
+		sc = &Scratch{}
+	}
+	matchL, matchR, size := sc.match.run(intraBipartite(dg))
+	a := &sc.assign
+	a.init(dg, matchL, matchR, ctx.Done())
+	a.later = true
+	if k <= 1 {
+		for u := range a.matchL {
+			a.matchL[u], a.matchR[u] = u+1, u-1
+		}
+		a.matchL[a.n-1] = -1
+	} else if !a.grow(a.n - k - size) {
+		// An augmenting path exists below N − 1 arcs (the chain of all
+		// accesses is a matching), so only cancellation stops growth.
+		return nil, 0, ctx.Err()
+	}
+
+	cost := 0
+	for u, w := range a.matchL {
+		if w != -1 && a.zero[u*a.words+w>>6]&(1<<(w&63)) == 0 {
+			cost++
+		}
+	}
+	return clonePaths(sc.pathsOf(a.matchL, a.matchR)), cost, nil
+}
+
+// grow makes count cheapest augmentations and reports whether all
+// were made: false if no augmenting path is left or ctxDone fired
+// (aborted is then set).
+func (a *assigner) grow(count int) bool {
+	for ; count > 0; count-- {
+		t := a.shortestPath()
+		if t == -1 {
+			return false
+		}
+		a.augment(t)
+	}
+	return true
+}
+
 // shortestPath runs one Dijkstra from every free left node over the
 // reduced costs c(u,v) − y[u] − z[v] ≥ 0, stops at the nearest free
 // right node and updates the potentials so the path found and every
 // matched edge are tight. It returns that right node, or -1 if none
-// is reachable (no perfect assignment exists).
+// is reachable or ctxDone fired.
 func (a *assigner) shortestPath() int {
-	for i := 0; i < a.n; i++ {
-		a.distL[i], a.distR[i] = matchInf, matchInf
+	for v := 0; v < a.n; v++ {
+		a.distL[v], a.distR[v] = matchInf, noOffer
+		a.lo[a.size+v], a.offer[a.size+v], a.best[a.size+v] = -a.z[v], noOffer, noOffer
 	}
-	a.heap = a.heap[:0]
+	for x := a.size - 1; x > 0; x-- {
+		a.lo[x], a.offer[x], a.best[x] = min(a.lo[2*x], a.lo[2*x+1]), noOffer, noOffer
+	}
+	a.work += 2 * a.size
 	for u, v := range a.matchL {
 		if v == -1 {
 			a.distL[u] = 0
-			a.relax(u)
+			if a.relax(u) {
+				return -1
+			}
 		}
 	}
 	target := -1
-	for len(a.heap) > 0 {
-		e := a.pop()
-		d, v := int(e>>32), int(uint32(e))
-		if d != a.distR[v] {
-			continue // stale entry
-		}
-		if a.pops++; a.ctxDone != nil && a.pops&ctxCheckMask == 0 {
-			select {
-			case <-a.ctxDone:
-				a.aborted = true
-				return -1
-			default:
-			}
+	for {
+		v := a.pop()
+		if v == -1 {
+			return -1
 		}
 		u := a.matchR[v]
 		if u == -1 {
 			target = v
 			break
 		}
-		a.distL[u] = d // the matched edge is tight
-		a.relax(u)
-	}
-	if target == -1 {
-		return -1
+		a.distL[u] = a.distR[v] // the matched edge is tight
+		if a.relax(u) {
+			return -1
+		}
 	}
 	d := a.distR[target]
 	for i := 0; i < a.n; i++ {
@@ -137,22 +210,102 @@ func (a *assigner) shortestPath() int {
 	return target
 }
 
-// relax lowers the distance of every right node left node u reaches:
-// the later accesses of its intra row at cost 0 and the no-later
-// accesses of its wrap row at cost 1.
-func (a *assigner) relax(u int) {
+// relax offers every right node left node u reaches a distance: its
+// cost-0 row's nodes at cost 0 and its cost-1 row's (or, with later
+// set, every later node's) at cost 1. It reports whether ctxDone
+// fired, polling once pollWork work has built up.
+func (a *assigner) relax(u int) bool {
 	base := a.distL[u] - a.y[u]
-	for cost, rows := range [2][]uint64{a.intra, a.wrap} {
+	for cost, rows := range [2][]uint64{a.zero, a.one} {
+		if cost == 1 && a.later {
+			a.offerFrom(u+1, base+1, u)
+			break
+		}
+		a.work += a.words
 		for wi, word := range rows[u*a.words : (u+1)*a.words] {
+			a.work += bits.OnesCount64(word)
 			for ; word != 0; word &= word - 1 {
 				v := wi<<6 | bits.TrailingZeros64(word)
 				if nd := base + cost - a.z[v]; nd < a.distR[v] {
-					a.distR[v], a.prevR[v] = nd, u
-					a.push(uint64(nd)<<32 | uint64(v))
+					x := a.size + v
+					a.distR[v], a.prevR[v], a.best[x] = nd, u, min(a.best[x], nd)
+					a.fix(x>>1, false)
 				}
 			}
 		}
 	}
+	if a.work >= pollWork {
+		a.work = 0
+		select {
+		case <-a.ctxDone: // a nil channel never fires
+			a.aborted = true
+		default:
+		}
+	}
+	return a.aborted
+}
+
+// offerFrom offers every right node from l on the distance c − z[v],
+// made by left node u, at the O(log N) tree nodes covering them.
+func (a *assigner) offerFrom(l, c, u int) {
+	if l >= a.n {
+		return
+	}
+	for x, r := l+a.size, 2*a.size; x < r; x, r = x>>1, r>>1 {
+		if x&1 == 1 {
+			if c < a.offer[x] {
+				a.offer[x], a.from[x] = c, u
+				a.best[x] = min(a.best[x], c+a.lo[x])
+			}
+			x++
+		}
+	}
+	a.fix((l+a.size)>>1, true) // the covering nodes hang off l's path
+}
+
+// fix recomputes lo and best at tree node x and its ancestors. Unless
+// all is set, it stops at a node left as it was: only x's subtree
+// changed, so nothing above it has.
+func (a *assigner) fix(x int, all bool) {
+	for ; x > 0; x >>= 1 {
+		lo := min(a.lo[2*x], a.lo[2*x+1])
+		best := min(a.best[2*x], a.best[2*x+1], a.offer[x]+lo)
+		if !all && lo == a.lo[x] && best == a.best[x] {
+			return
+		}
+		a.lo[x], a.best[x] = lo, best
+	}
+}
+
+// pop settles the right node of least tentative distance, recording
+// its distance and the left node it is reached from, and returns it,
+// or -1 if every reachable node is settled.
+func (a *assigner) pop() int {
+	d := a.best[1]
+	if d > noOffer/2 {
+		return -1
+	}
+	x := 1
+	for x < a.size && a.offer[x]+a.lo[x] != d {
+		x <<= 1
+		if a.best[x] != d {
+			x++
+		}
+	}
+	if a.offer[x]+a.lo[x] == d { // x's own offer, to its least −z leaf
+		u := a.from[x]
+		for x < a.size {
+			x <<= 1
+			if a.lo[x] != a.lo[x>>1] {
+				x++
+			}
+		}
+		a.prevR[x-a.size] = u
+	}
+	v := x - a.size
+	a.distR[v], a.lo[x], a.best[x] = d, noOffer, noOffer
+	a.fix(x>>1, false)
+	return v
 }
 
 // augment flips the alternating path ending at free right node v.
@@ -163,41 +316,4 @@ func (a *assigner) augment(v int) {
 		a.matchL[u], a.matchR[v] = v, u
 		v = next
 	}
-}
-
-func (a *assigner) push(x uint64) {
-	h := append(a.heap, x)
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	a.heap = h
-}
-
-func (a *assigner) pop() uint64 {
-	h := a.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
-		}
-		if c+1 < len(h) && h[c+1] < h[c] {
-			c++
-		}
-		if h[i] <= h[c] {
-			break
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-	a.heap = h
-	return top
 }

@@ -1,9 +1,12 @@
 package pathcover
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"dspaddr/internal/distgraph"
 	"dspaddr/internal/model"
@@ -142,5 +145,45 @@ func TestAssignBoundEndsServedSearches(t *testing.T) {
 		if c.Nodes > 100 {
 			t.Fatalf("%v: search took %d nodes, want it to stop at the bound", tc.offs, c.Nodes)
 		}
+	}
+}
+
+// MinCostCover abandons a solve that runs ~3 s on a 2-vCPU host
+// (N=4096 accesses that phase 1 leaves on 2,518 paths, merged down to
+// two registers) within milliseconds of its deadline, from inside the
+// augmentations rather than after them; one register, the access
+// order itself, is answered at once.
+func TestMinCostCoverDeadline(t *testing.T) {
+	rng := rand.New(rand.NewSource(4096))
+	offs := make([]int, model.MaxAccesses)
+	for i := range offs {
+		offs[i] = rng.Intn(4000)
+	}
+	dg := distgraph.MustBuild(model.NewPattern(offs...), 0)
+	order := 0 // the cost of the access order
+	for i := 1; i < len(offs); i++ {
+		order += model.TransitionCost(offs[i]-offs[i-1], 0)
+	}
+	var sc Scratch
+	for _, c := range []struct {
+		k      int
+		budget time.Duration
+		want   error
+	}{{1, time.Second, nil}, {2, 0, context.DeadlineExceeded}, {2, 20 * time.Millisecond, context.DeadlineExceeded}} {
+		ctx, cancel := context.WithTimeout(context.Background(), c.budget)
+		start := time.Now()
+		paths, cost, err := MinCostCover(ctx, dg, c.k, &sc)
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, c.want) {
+			t.Fatalf("k=%d budget %v: err = %v, want %v", c.k, c.budget, err, c.want)
+		}
+		if c.want == nil && (len(paths) != 1 || cost != order) {
+			t.Fatalf("k=1: %d paths at cost %d, want the access order at cost %d", len(paths), cost, order)
+		}
+		if late := elapsed - c.budget; c.want != nil && late > 100*time.Millisecond {
+			t.Fatalf("k=%d budget %v: returned %v after the deadline", c.k, c.budget, late)
+		}
+		t.Logf("k=%d budget %v: returned after %v", c.k, c.budget, elapsed)
 	}
 }

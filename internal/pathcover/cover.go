@@ -75,9 +75,14 @@ func MinCoverDAG(dg *distgraph.Graph) []model.Path {
 // drawn from the scratch, so a warm solve performs no allocation here.
 // The returned paths are valid until the scratch's next use.
 func (sc *Scratch) minCoverDAG(dg *distgraph.Graph) []model.Path {
-	n := dg.N()
 	matchL, matchR, _ := sc.match.run(intraBipartite(dg))
+	return sc.pathsOf(matchL, matchR)
+}
 
+// pathsOf lists the paths a matching of program-ordered arcs forms, in
+// order of first access, in the scratch's path store.
+func (sc *Scratch) pathsOf(matchL, matchR []int) []model.Path {
+	n := len(matchL)
 	sc.dagFlat = sc.dagFlat[:0]
 	if cap(sc.dagFlat) < n {
 		sc.dagFlat = make([]int, 0, n)

@@ -9,7 +9,8 @@
 // out/in-copy graph (the bound technique of Araujo et al. [2]). With
 // wrap constraints the matching value remains a lower bound, a greedy
 // cover provides an upper bound, and a branch-and-bound search (per the
-// companion ASP-DAC'98 paper [3]) closes the gap.
+// companion ASP-DAC'98 paper [3]) closes the gap. MinCostCover reuses
+// the matching for phase 2's exact merge (see assign.go).
 package pathcover
 
 import "math/bits"

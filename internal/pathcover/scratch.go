@@ -1,9 +1,9 @@
-// Per-worker solve scratch for phase 1. A Scratch owns every reusable
-// workspace the cover computations need — the Hopcroft-Karp matcher
-// state, the assignment bound's state and wrap bit matrix, the flat
-// DAG-cover path store and the branch-and-bound search state — so a
-// worker serving a stream of requests stops paying a dozen heap
-// allocations per solve.
+// Per-worker solve scratch for phase 1 (and MinCostCover's exact phase
+// 2). A Scratch owns every reusable workspace the cover computations
+// need — the Hopcroft-Karp matcher state, the assignment solver's
+// state and wrap bit matrix, the flat DAG-cover path store and the
+// branch-and-bound search state — so a worker serving a stream of
+// requests stops paying a dozen heap allocations per solve.
 //
 // A Scratch is not safe for concurrent use. Covers produced through a
 // Scratch may alias its buffers and are valid only until its next use;
