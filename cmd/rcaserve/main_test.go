@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -363,19 +364,27 @@ func TestBatchWithCacheHits(t *testing.T) {
 }
 
 // TestBatchMixedJobs mixes good, bad and loop jobs in one batch and
-// checks failures stay per-job.
+// checks failures stay per-job, and that every entry is, byte for
+// byte, what /v1/allocate answers for the same job (elapsed time and
+// the cache flag aside).
 func TestBatchMixedJobs(t *testing.T) {
 	ts := newTestServer(t, engine.Options{Workers: 4})
-	var resp api.BatchResponse
-	status := do(t, ts.URL+"/v1/batch", `{"jobs": [
-		{"pattern": {"offsets": [1, 0, 2]}, "agu": {"registers": 1, "modifyRange": 1}},
-		{"agu": {"registers": 1, "modifyRange": 1}},
-		{"loop": "for (i = 0; i <= 9; i++) { A[i]; A[i+1]; }", "agu": {"registers": 1, "modifyRange": 1}}
-	]}`, &resp)
-	if status != http.StatusOK {
-		t.Fatalf("status %d", status)
+	jobs := []string{
+		`{"pattern": {"offsets": [1, 0, 2]}, "agu": {"registers": 1, "modifyRange": 1}}`,
+		`{"agu": {"registers": 1, "modifyRange": 1}}`,
+		`{"loop": "for (i = 0; i <= 9; i++) { A[i]; A[i+1]; }", "agu": {"registers": 1, "modifyRange": 1}}`,
+		`{"loop": "for (i = 0; i <= N; i++) { A[i]; }", "agu": {"registers": 1, "modifyRange": 1}}`,
+		`{"pattern": {"array": "B", "offsets": [11, 10, 12]}, "agu": {"registers": 1, "modifyRange": 1}, "report": true}`,
 	}
-	if len(resp.Results) != 3 {
+	var body json.RawMessage
+	if status := do(t, ts.URL+"/v1/batch", `{"jobs": [`+strings.Join(jobs, ",\n")+`]}`, &body); status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, body)
+	}
+	var resp api.BatchResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != len(jobs) {
 		t.Fatalf("got %d results", len(resp.Results))
 	}
 	if resp.Results[0].Error != "" || len(resp.Results[0].Results) != 1 {
@@ -386,6 +395,30 @@ func TestBatchMixedJobs(t *testing.T) {
 	}
 	if resp.Results[2].Error != "" || len(resp.Results[2].Results) != 1 {
 		t.Errorf("job 2 (loop) should succeed with one array: %+v", resp.Results[2])
+	}
+	if resp.Results[3].Error == "" {
+		t.Error("job 3 (unbound N) should fail to parse")
+	}
+	if r := resp.Results[4]; r.Error != "" || len(r.Results) != 1 || r.Results[0].Array != "B" || r.Results[0].Report == "" {
+		t.Errorf("job 4 (translated twin) should succeed as array B with a report: %+v", r)
+	}
+
+	var raw struct{ Results []json.RawMessage }
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	varying := regexp.MustCompile(`"(elapsedMicros|cacheHit)":[^,}]*`)
+	for i, job := range jobs {
+		var single json.RawMessage
+		status := do(t, ts.URL+"/v1/allocate", job, &single)
+		if wantErr := resp.Results[i].Error != ""; wantErr != (status != http.StatusOK) {
+			t.Errorf("job %d: /v1/allocate status %d, batch error %q", i, status, resp.Results[i].Error)
+		}
+		got := varying.ReplaceAll(raw.Results[i], []byte(`"$1":0`))
+		want := varying.ReplaceAll(single, []byte(`"$1":0`))
+		if !bytes.Equal(got, want) {
+			t.Errorf("job %d: batch entry\n%s\n/v1/allocate\n%s", i, got, want)
+		}
 	}
 }
 

@@ -39,15 +39,39 @@ func statsOf(t *testing.T, baseURL string) api.Stats {
 // queue behind the stalled solve, and the abandoned job is counted as
 // canceled.
 func TestClientCancelFreesWorker(t *testing.T) {
+	clientCancelFreesWorker(t, "/v1/allocate", 1)
+}
+
+// TestClientCancelFreesWorkerBatch is the same property for /v1/batch:
+// the abandoned batch's first job holds the only worker, and its two
+// other jobs wait to be accepted when the client gives up.
+func TestClientCancelFreesWorkerBatch(t *testing.T) {
+	clientCancelFreesWorker(t, "/v1/batch", 3)
+}
+
+// clientCancelFreesWorker runs three requests against route on a
+// one-worker engine whose every second solve stalls for 300ms: a
+// one-job request, then one of jobs jobs whose client gives up after
+// 40ms while its first job stalls, then a one-job request that must be
+// answered well before the stall would have ended.
+func clientCancelFreesWorker(t *testing.T, route string, jobs int) {
+	t.Helper()
 	inj, err := faults.Parse("delay=300ms:2") // only every 2nd solve stalls
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := newTestServerWith(t, engine.Options{Workers: 1, Faults: inj},
 		serverOptions{version: "test"})
-	allocate := func(ctx context.Context, first int) (*http.Response, error) {
-		body := fmt.Sprintf(`{"pattern": {"offsets": [%d, 0, 2]}, "agu": {"registers": 2, "modifyRange": 1}}`, first)
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/allocate", strings.NewReader(body))
+	post := func(ctx context.Context, first, n int) (*http.Response, error) {
+		bodies := make([]string, n)
+		for i := range bodies {
+			bodies[i] = fmt.Sprintf(`{"pattern": {"offsets": [%d, 0, %d]}, "agu": {"registers": 2, "modifyRange": 1}}`, first, 2*(i+1))
+		}
+		body := bodies[0]
+		if route == "/v1/batch" {
+			body = `{"jobs": [` + strings.Join(bodies, ", ") + `]}`
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+route, strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +87,7 @@ func TestClientCancelFreesWorker(t *testing.T) {
 	}
 
 	// Solve 1 runs at full speed.
-	resp, err := allocate(context.Background(), 1)
+	resp, err := post(context.Background(), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +98,14 @@ func TestClientCancelFreesWorker(t *testing.T) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 	defer cancel()
-	if resp, err := allocate(ctx, 3); err == nil {
+	if resp, err := post(ctx, 3, jobs); err == nil {
 		resp.Body.Close()
 		t.Fatalf("a client that gave up got status %d", resp.StatusCode)
 	}
 
 	// Solve 3 needs the only worker: it answers well before the
 	// stalled solve would have ended.
-	resp, err = allocate(context.Background(), 5)
+	resp, err = post(context.Background(), 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

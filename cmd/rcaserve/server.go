@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -229,36 +228,59 @@ func (s *server) runPayload(ctx context.Context, payload any) (any, error) {
 // is the failure (nil on success), so callers can map error kinds to
 // HTTP status codes.
 func (s *server) runJob(ctx context.Context, job api.Job) (api.JobResponse, error) {
-	if err := job.Check(); err != nil {
-		err = fmt.Errorf("job %w", err)
-		return api.JobResponse{Error: err.Error()}, err
-	}
-	req := job.EngineRequest()
-	if job.Pattern != nil {
-		res := s.engine.Run(ctx, req)
-		if res.Err != nil {
-			return api.JobResponse{Error: res.Err.Error()}, res.Err
-		}
-		return api.JobResponse{Results: []api.Alloc{
-			toAlloc(res.Result, res.CacheHit, res.Elapsed.Microseconds(), job.Report),
-		}}, nil
-	}
-	prog, err := frontend.Parse(job.Loop, job.Bindings)
+	req, loop, err := resolveJob(&job)
 	if err != nil {
 		return api.JobResponse{Error: err.Error()}, err
 	}
-	res := s.engine.RunLoop(ctx, engine.LoopRequest{
+	if job.Pattern != nil {
+		return patternResponse(s.engine.Run(ctx, req), job.Report)
+	}
+	return loopResponse(s.engine.RunLoop(ctx, loop), job.Report)
+}
+
+// resolveJob checks a wire job and lowers it to its engine request:
+// req for a pattern job, or loop for a loop job, whose text is parsed
+// here. A job that fails either step answers with err's text.
+func resolveJob(job *api.Job) (req engine.Request, loop engine.LoopRequest, err error) {
+	if err := job.Check(); err != nil {
+		return req, loop, fmt.Errorf("job %w", err)
+	}
+	req = job.EngineRequest()
+	if job.Pattern != nil {
+		return req, loop, nil
+	}
+	prog, err := frontend.Parse(job.Loop, job.Bindings)
+	if err != nil {
+		return req, loop, err
+	}
+	return req, engine.LoopRequest{
 		Loop:           prog.Loop,
 		AGU:            req.AGU,
 		InterIteration: req.InterIteration,
 		Strategy:       req.Strategy,
-	})
+	}, nil
+}
+
+// patternResponse renders a pattern job's engine result for the wire,
+// returning its failure as well.
+func patternResponse(res engine.JobResult, report bool) (api.JobResponse, error) {
+	if res.Err != nil {
+		return api.JobResponse{Error: res.Err.Error()}, res.Err
+	}
+	return api.JobResponse{Results: []api.Alloc{
+		toAlloc(res.Result, res.CacheHit, res.Elapsed.Microseconds(), report),
+	}}, nil
+}
+
+// loopResponse renders a loop job's engine result for the wire, one
+// entry per array, returning its failure as well.
+func loopResponse(res engine.LoopJobResult, report bool) (api.JobResponse, error) {
 	if res.Err != nil {
 		return api.JobResponse{Error: res.Err.Error()}, res.Err
 	}
 	resp := api.JobResponse{Results: make([]api.Alloc, 0, len(res.Result.Arrays))}
 	for _, aa := range res.Result.Arrays {
-		a := toAlloc(aa.Result, res.CacheHit, res.Elapsed.Microseconds(), job.Report)
+		a := toAlloc(aa.Result, res.CacheHit, res.Elapsed.Microseconds(), report)
 		a.GlobalRegisters = aa.GlobalRegisters
 		resp.Results = append(resp.Results, a)
 	}
@@ -305,10 +327,13 @@ func (s *server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(enc, w, http.StatusOK, resp)
 }
 
-// handleBatch serves POST /v1/batch: many jobs fanned out over the
-// engine's worker pool, results in job order. Per-job failures are
-// reported inline; the batch response itself is always 200 once the
-// body parses.
+// handleBatch serves POST /v1/batch: every job is resolved on the
+// handler's goroutine, and the resolved ones go to the engine as one
+// RunJobs submission; results come back in job order. Per-job failures
+// are reported inline; the batch response itself is always 200 once
+// the body parses. The answer waits for every accepted job to settle,
+// also when the client has gone: canceled solves are abandoned within
+// microseconds, and jobs not yet accepted fail at once.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		api.WriteError(w, http.StatusMethodNotAllowed, "POST only")
@@ -329,15 +354,32 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	enc := reserveEncode(r)
 	start := time.Now()
 	resp := api.BatchResponse{Results: make([]api.JobResponse, len(batch.Jobs))}
-	var wg sync.WaitGroup
-	for i, job := range batch.Jobs {
-		wg.Add(1)
-		go func(i int, job api.Job) {
-			defer wg.Done()
-			resp.Results[i], _ = s.runJob(r.Context(), job)
-		}(i, job)
+	reqs := make([]engine.Request, 0, len(batch.Jobs))
+	var loops []engine.LoopRequest
+	for i := range batch.Jobs {
+		req, loop, err := resolveJob(&batch.Jobs[i])
+		switch {
+		case err != nil:
+			resp.Results[i].Error = err.Error()
+		case batch.Jobs[i].Pattern != nil:
+			reqs = append(reqs, req)
+		default:
+			loops = append(loops, loop)
+		}
 	}
-	wg.Wait()
+	res, loopRes := s.engine.RunJobs(r.Context(), reqs, loops)
+	for i := range batch.Jobs {
+		job := &batch.Jobs[i]
+		switch {
+		case resp.Results[i].Error != "": // failed to resolve
+		case job.Pattern != nil:
+			resp.Results[i], _ = patternResponse(res[0], job.Report)
+			res = res[1:]
+		default:
+			resp.Results[i], _ = loopResponse(loopRes[0], job.Report)
+			loopRes = loopRes[1:]
+		}
+	}
 	resp.ElapsedMicros = time.Since(start).Microseconds()
 	writeJSON(enc, w, http.StatusOK, resp)
 }

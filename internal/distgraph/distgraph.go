@@ -93,16 +93,30 @@ func (dg *Graph) Rebuild(pat model.Pattern, m int) error {
 	dg.win = slices.Grow(dg.win[:0], dg.words)[:dg.words]
 	lo, hi := pat.OffsetSpan()
 	dg.wide = tooWide(lo) || tooWide(hi) || slices.ContainsFunc(dg.Index, tooWide)
-	dg.sortAccesses()
+	dg.sortAccesses(lo, hi)
 	dg.fill(dg.succ, dg.win, 0, false)
 	return nil
 }
 
 // sortAccesses fills order with the accesses sorted by offset, then
-// index.
-func (dg *Graph) sortAccesses() {
+// index; lo and hi are the pattern's least and greatest offsets.
+// Validate caps N at model.MaxAccesses = 2^12, so an index fits the
+// low 12 bits of a key whose high bits hold offset − lo: sorting those
+// keys as plain ints (no comparator call per comparison) gives the
+// same order whenever the offset span fits the remaining bits.
+func (dg *Graph) sortAccesses(lo, hi int) {
 	off := dg.Pattern.Offsets
 	dg.order = slices.Grow(dg.order[:0], len(off))[:len(off)]
+	if !dg.wide && hi-lo < 1<<(63-indexBits) {
+		for i, v := range off {
+			dg.order[i] = (v-lo)<<indexBits | i
+		}
+		slices.Sort(dg.order)
+		for k := range dg.order {
+			dg.order[k] &= 1<<indexBits - 1
+		}
+		return
+	}
 	for i := range dg.order {
 		dg.order[i] = i
 	}
@@ -116,6 +130,12 @@ func (dg *Graph) sortAccesses() {
 		return a - b
 	})
 }
+
+// indexBits holds any access index below model.MaxAccesses; the
+// unsigned constant below stops compiling if the cap outgrows it.
+const indexBits = 12
+
+const _ uint = 1<<indexBits - model.MaxAccesses
 
 // windowLimit bounds the offsets, index values and stride the window
 // build accepts: with every magnitude at most 2^60, all the offset

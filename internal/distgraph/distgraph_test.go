@@ -3,6 +3,8 @@ package distgraph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -202,6 +204,36 @@ func TestBitMatricesMatchPredicates(t *testing.T) {
 			if got := dg.LastSucc(i); got != last {
 				t.Fatalf("trial %d: LastSucc(%d) = %d, want %d", trial, i, got, last)
 			}
+		}
+	}
+}
+
+// TestSortAccessesOrder checks the packed-key sort against the
+// comparator order (offset, then index) on random patterns, at the
+// largest N, and on spans too wide to pack, which take the fallback.
+func TestSortAccessesOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var dg Graph
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(80)
+		if trial%50 == 0 {
+			n = model.MaxAccesses
+		}
+		offs := make([]int, n)
+		spread := []int{1, 8, 1 << 20, 1 << 52, 1 << 60}[trial%5]
+		for i := range offs {
+			offs[i] = rng.Intn(2*spread+1) - spread
+		}
+		if err := dg.Rebuild(model.Pattern{Stride: 1, Offsets: offs}, 1); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool { return offs[want[a]] < offs[want[b]] })
+		if !slices.Equal(dg.order, want) {
+			t.Fatalf("trial %d (N=%d, spread %d): order %v, want %v", trial, n, spread, dg.order, want)
 		}
 	}
 }

@@ -3,9 +3,10 @@
 //
 // An Engine owns a bounded pool of worker goroutines, a sharded
 // canonicalized-pattern result cache and aggregate serving statistics.
-// Jobs — (pattern, configuration) pairs — are submitted one at a time
-// with Run or many at once with RunBatch; either way they funnel
-// through the same pool, so total solver concurrency never exceeds the
+// Jobs — (pattern, configuration) pairs or whole loops — are submitted
+// one at a time with Run and RunLoop, or many at once with RunJobs (or
+// RunBatch, its pattern-only form); either way they funnel through the
+// same pool, so total solver concurrency never exceeds the
 // configured worker count regardless of how many callers submit
 // concurrently.
 //
@@ -147,8 +148,8 @@ const (
 
 // task is one queued unit of work, passed to a worker by value — no
 // per-job closure or goroutine is allocated. The worker writes the
-// result through out/loopOut, then signals wg (batches) or closes
-// done (single submissions).
+// result through out/loopOut, then signals wg (RunJobs) or closes
+// done (Run and RunLoop).
 type task struct {
 	ctx     context.Context
 	kind    taskKind
@@ -215,7 +216,7 @@ func New(opts Options) *Engine {
 }
 
 // Close stops accepting jobs and waits for in-flight jobs to drain.
-// Pending Run and RunBatch calls racing with Close receive an error
+// Pending Run and RunJobs calls racing with Close receive an error
 // result; Close is idempotent.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() { close(e.closed) })
@@ -255,28 +256,51 @@ func (e *Engine) Run(ctx context.Context, req Request) JobResult {
 }
 
 // RunBatch submits every job and waits for all of them, returning
-// results in job order. Individual failures are reported per job; the
-// batch itself never fails. Unlike Run, a canceled context does not
-// return before every accepted job has settled — workers settle
-// canceled jobs promptly via cooperative cancellation — so the
-// returned slice is always fully owned by the caller.
+// results in job order; it is RunJobs without loop jobs.
 func (e *Engine) RunBatch(ctx context.Context, reqs []Request) []JobResult {
-	out := make([]JobResult, len(reqs))
+	out, _ := e.RunJobs(ctx, reqs, nil)
+	return out
+}
+
+// RunJobs submits a batch of pattern and whole-loop jobs and waits for
+// all of them, returning each kind's results in its job order.
+// Individual failures are reported per job; the batch itself never
+// fails. Unlike Run, a canceled context does not return before every
+// accepted job has settled — workers settle canceled jobs promptly via
+// cooperative cancellation, and jobs not yet accepted fail at once
+// with the context's error — so the returned slices are always fully
+// owned by the caller.
+//
+// This is the one batch submission loop: tasks go to the pool by
+// value against one WaitGroup and one result slice per kind, with no
+// per-job closure, channel or result box.
+func (e *Engine) RunJobs(ctx context.Context, reqs []Request, loops []LoopRequest) ([]JobResult, []LoopJobResult) {
+	out, loopOut := make([]JobResult, len(reqs)), make([]LoopJobResult, len(loops))
 	var wg sync.WaitGroup
-	wg.Add(len(reqs))
+	wg.Add(len(reqs) + len(loops))
 	// One clock read stamps the whole batch: the submit loop below is
 	// microseconds end to end, and per-task reads were measurable on
 	// the parallel batch path.
 	enqueued := time.Now()
-	for i := range reqs {
-		t := task{ctx: ctx, kind: taskPattern, req: reqs[i], out: &out[i], wg: &wg, enqueued: enqueued}
+	for i := range len(reqs) + len(loops) {
+		t := task{ctx: ctx, kind: taskPattern, wg: &wg, enqueued: enqueued}
+		if i < len(reqs) {
+			t.req, t.out = reqs[i], &out[i]
+		} else {
+			j := i - len(reqs)
+			t.kind, t.loop, t.loopOut = taskLoop, loops[j], &loopOut[j]
+		}
 		if err := e.enqueue(t); err != nil {
-			out[i] = JobResult{Err: err}
+			if t.kind == taskPattern {
+				*t.out = JobResult{Err: err}
+			} else {
+				*t.loopOut = LoopJobResult{Err: err}
+			}
 			wg.Done()
 		}
 	}
 	wg.Wait()
-	return out
+	return out, loopOut
 }
 
 // Stats returns a snapshot of the engine's aggregate statistics.

@@ -335,6 +335,91 @@ func TestRunLoopErrors(t *testing.T) {
 	}
 }
 
+// TestRunJobsMatchesSingleRuns submits pattern and loop jobs as one
+// batch and checks each result, in each kind's job order, against the
+// same job run alone on a fresh engine; a bad job fails in place.
+func TestRunJobsMatchesSingleRuns(t *testing.T) {
+	agu := model.AGUSpec{Registers: 3, ModifyRange: 1}
+	reqs := []Request{
+		testRequest(1, 0, 2, -1, 1, 0, -2),
+		{Pattern: model.NewPattern(0, 1), AGU: agu, Strategy: "nope"},
+		testRequest(0, 3, 1, 4),
+	}
+	loops := []LoopRequest{
+		{Loop: testLoop(), AGU: agu},
+		{Loop: testLoop(), AGU: model.AGUSpec{Registers: 1, ModifyRange: 1}}, // 2 arrays, 1 register
+	}
+	e := New(Options{Workers: 2, CacheSize: -1})
+	defer e.Close()
+	res, loopRes := e.RunJobs(context.Background(), reqs, loops)
+	if len(res) != len(reqs) || len(loopRes) != len(loops) {
+		t.Fatalf("%d and %d results for %d and %d jobs", len(res), len(loopRes), len(reqs), len(loops))
+	}
+	single := New(Options{Workers: 1, CacheSize: -1})
+	defer single.Close()
+	for i, req := range reqs {
+		want := single.Run(context.Background(), req)
+		if (res[i].Err == nil) != (want.Err == nil) {
+			t.Fatalf("pattern job %d: err %v, alone %v", i, res[i].Err, want.Err)
+		}
+		if want.Err == nil && !reflect.DeepEqual(res[i].Result, want.Result) {
+			t.Fatalf("pattern job %d: %+v, alone %+v", i, res[i].Result, want.Result)
+		}
+	}
+	for i, req := range loops {
+		want := single.RunLoop(context.Background(), req)
+		if (loopRes[i].Err == nil) != (want.Err == nil) {
+			t.Fatalf("loop job %d: err %v, alone %v", i, loopRes[i].Err, want.Err)
+		}
+		if want.Err == nil && !reflect.DeepEqual(loopRes[i].Result, want.Result) {
+			t.Fatalf("loop job %d: %+v, alone %+v", i, loopRes[i].Result, want.Result)
+		}
+	}
+	if res[1].Err == nil || loopRes[1].Err == nil {
+		t.Fatal("the bad pattern and loop jobs succeeded")
+	}
+	if out, loopOut := e.RunJobs(context.Background(), nil, nil); len(out) != 0 || len(loopOut) != 0 {
+		t.Fatalf("empty batch: %v, %v", out, loopOut)
+	}
+}
+
+// TestRunJobsCanceledSettles cancels a batch once its first job's
+// solve holds the only worker: RunJobs returns once that solve is
+// abandoned, with every job failed by the cancellation, and the worker
+// is free again.
+func TestRunJobsCanceledSettles(t *testing.T) {
+	e := New(Options{Workers: 1, CacheSize: -1})
+	defer e.Close()
+	started := make(chan struct{})
+	var once sync.Once
+	solve := e.solve
+	e.solve = func(ctx context.Context, s *core.Solver, r Request) (*core.Result, error) {
+		once.Do(func() { close(started) })
+		return solve(ctx, s, r)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-started
+		cancel()
+	}()
+	reqs := []Request{pathologicalWrapRequest(), testRequest(0, 1, 2), testRequest(0, 2, 4)}
+	res, loopRes := e.RunJobs(ctx, reqs, []LoopRequest{{Loop: testLoop(), AGU: model.AGUSpec{Registers: 3, ModifyRange: 1}}})
+	for i, r := range res {
+		if !errors.Is(r.Err, context.Canceled) {
+			t.Errorf("pattern job %d: err = %v, want context.Canceled", i, r.Err)
+		}
+	}
+	if !errors.Is(loopRes[0].Err, context.Canceled) {
+		t.Errorf("loop job: err = %v, want context.Canceled", loopRes[0].Err)
+	}
+	if quick := e.Run(context.Background(), testRequest(0, 1, 2)); quick.Err != nil {
+		t.Fatalf("follow-up job after the canceled batch: %v", quick.Err)
+	}
+	if s := e.Stats(); s.Canceled == 0 {
+		t.Fatalf("stats.Canceled = 0, want >0: %+v", s)
+	}
+}
+
 // TestJobTimeout checks that a slow solve is abandoned with ErrTimeout
 // and counted in the stats. The per-job deadline reaches the solver as
 // its context (cooperative cancellation), so the cooperating fake here

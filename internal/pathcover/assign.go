@@ -47,9 +47,15 @@ type assigner struct {
 	// the offers at or below it.
 	size                  int
 	lo, offer, best, from []int
-	ctxDone               <-chan struct{}
-	work                  int // queue work since ctxDone was last polled
-	aborted               bool
+	// What the last Dijkstra changed, so the next resets only that:
+	// touchedL and touchedR list the left and right nodes given a
+	// distance, settled the right nodes popped (the only leaves whose
+	// lo, and z, moved), and offered the tree nodes given an offer.
+	touchedL, touchedR, settled, offered []int
+	buf                                  []int // backs every []int above
+	ctxDone                              <-chan struct{}
+	work                                 int // queue work since ctxDone was last polled
+	aborted                              bool
 }
 
 // noOffer is the queue's infinity. Sums of two stay in range, and a
@@ -67,19 +73,40 @@ const pollWork = 1 << 14
 func (a *assigner) init(dg *distgraph.Graph, matchL, matchR []int, ctxDone <-chan struct{}) {
 	n := dg.N()
 	a.n, a.words, a.zero = n, dg.Words(), dg.Succ()
-	a.matchL = append(a.matchL[:0], matchL...)
-	a.matchR = append(a.matchR[:0], matchR...)
-	a.y, a.z = resize(a.y, n), resize(a.z, n)
+	a.size = 1 << bits.Len(uint(n-1))
+	// One buffer backs the per-node arrays, so a fresh assigner
+	// allocates them at once. At most n nodes per side get a distance
+	// or settle, and at most 2·size tree nodes an offer, so the touched
+	// lists never outgrow their share.
+	a.buf = resize(a.buf, 10*n+10*a.size)
+	buf := a.buf
+	take := func(k int) []int {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
+	}
+	a.matchL, a.matchR = take(n), take(n)
+	copy(a.matchL, matchL)
+	copy(a.matchR, matchR)
+	a.y, a.z = take(n), take(n)
 	clear(a.y)
 	clear(a.z)
-	a.distL, a.distR, a.prevR = resize(a.distL, n), resize(a.distR, n), resize(a.prevR, n)
-	a.size = 1 << bits.Len(uint(n-1))
-	a.lo, a.offer = resize(a.lo, 2*a.size), resize(a.offer, 2*a.size)
-	a.best, a.from = resize(a.best, 2*a.size), resize(a.from, 2*a.size)
+	a.distL, a.distR, a.prevR = take(n), take(n), take(n)
+	a.touchedL, a.touchedR, a.settled = take(n)[:0], take(n)[:0], take(n)[:0]
+	a.lo, a.offer = take(2*a.size), take(2*a.size)
+	a.best, a.from = take(2*a.size), take(2*a.size)
+	a.offered = take(2 * a.size)[:0]
+	for v := 0; v < n; v++ {
+		a.distL[v], a.distR[v] = matchInf, noOffer
+		a.lo[a.size+v], a.offer[a.size+v], a.best[a.size+v] = -a.z[v], noOffer, noOffer
+	}
 	for x := a.size + n; x < 2*a.size; x++ { // padding: never a candidate
 		a.lo[x], a.offer[x], a.best[x] = noOffer, noOffer, noOffer
 	}
-	a.ctxDone, a.work, a.aborted = ctxDone, 0, false
+	for x := a.size - 1; x > 0; x-- {
+		a.lo[x], a.offer[x], a.best[x] = min(a.lo[2*x], a.lo[2*x+1]), noOffer, noOffer
+	}
+	a.ctxDone, a.work, a.aborted = ctxDone, 2*a.size, false
 }
 
 // bound returns the minimum cost of a perfect assignment of dg
@@ -166,17 +193,11 @@ func (a *assigner) grow(count int) bool {
 // matched edge are tight. It returns that right node, or -1 if none
 // is reachable or ctxDone fired.
 func (a *assigner) shortestPath() int {
-	for v := 0; v < a.n; v++ {
-		a.distL[v], a.distR[v] = matchInf, noOffer
-		a.lo[a.size+v], a.offer[a.size+v], a.best[a.size+v] = -a.z[v], noOffer, noOffer
-	}
-	for x := a.size - 1; x > 0; x-- {
-		a.lo[x], a.offer[x], a.best[x] = min(a.lo[2*x], a.lo[2*x+1]), noOffer, noOffer
-	}
-	a.work += 2 * a.size
+	a.reset()
 	for u, v := range a.matchL {
 		if v == -1 {
 			a.distL[u] = 0
+			a.touchedL = append(a.touchedL, u)
 			if a.relax(u) {
 				return -1
 			}
@@ -194,20 +215,67 @@ func (a *assigner) shortestPath() int {
 			break
 		}
 		a.distL[u] = a.distR[v] // the matched edge is tight
+		a.touchedL = append(a.touchedL, u)
 		if a.relax(u) {
 			return -1
 		}
 	}
 	d := a.distR[target]
-	for i := 0; i < a.n; i++ {
-		if a.distL[i] < d {
-			a.y[i] += d - a.distL[i]
+	for _, u := range a.touchedL {
+		if a.distL[u] < d {
+			a.y[u] += d - a.distL[u]
 		}
-		if a.distR[i] < d {
-			a.z[i] -= d - a.distR[i]
+	}
+	for _, v := range a.settled {
+		if a.distR[v] < d {
+			a.z[v] -= d - a.distR[v]
 		}
 	}
 	return target
+}
+
+// reset returns the queue and distances the last Dijkstra touched to
+// their fresh state under the current potentials. A fresh queue has
+// no offer and no tentative distance anywhere, so every best it set
+// goes back to noOffer, each walk up stopping at a node already
+// there; lo changed only on the settled leaves, and is restored by
+// point updates that stop where the minimum holds.
+func (a *assigner) reset() {
+	for _, u := range a.touchedL {
+		a.distL[u] = matchInf
+	}
+	for _, v := range a.touchedR {
+		a.distR[v] = noOffer
+		a.clearBest(a.size + v)
+	}
+	for _, x := range a.offered {
+		a.offer[x] = noOffer
+		a.clearBest(x)
+	}
+	for _, v := range a.settled {
+		x := a.size + v
+		a.lo[x] = -a.z[v]
+		for x >>= 1; x > 0; x >>= 1 {
+			lo := min(a.lo[2*x], a.lo[2*x+1])
+			if lo == a.lo[x] {
+				break
+			}
+			a.lo[x] = lo
+		}
+	}
+	a.work += len(a.touchedL) + len(a.touchedR) + len(a.settled) + len(a.offered)
+	a.touchedL, a.touchedR = a.touchedL[:0], a.touchedR[:0]
+	a.settled, a.offered = a.settled[:0], a.offered[:0]
+}
+
+// clearBest sets best to noOffer at tree node x and up its ancestors
+// until one already holds it. Every best is the least of what lies at
+// or below it, so a node at noOffer was either cleared by an earlier
+// walk, which went on up, or never took a value from x.
+func (a *assigner) clearBest(x int) {
+	for ; x > 0 && a.best[x] != noOffer; x >>= 1 {
+		a.best[x] = noOffer
+	}
 }
 
 // relax offers every right node left node u reaches a distance: its
@@ -227,6 +295,9 @@ func (a *assigner) relax(u int) bool {
 			for ; word != 0; word &= word - 1 {
 				v := wi<<6 | bits.TrailingZeros64(word)
 				if nd := base + cost - a.z[v]; nd < a.distR[v] {
+					if a.distR[v] == noOffer {
+						a.touchedR = append(a.touchedR, v)
+					}
 					x := a.size + v
 					a.distR[v], a.prevR[v], a.best[x] = nd, u, min(a.best[x], nd)
 					a.fix(x>>1, false)
@@ -254,6 +325,9 @@ func (a *assigner) offerFrom(l, c, u int) {
 	for x, r := l+a.size, 2*a.size; x < r; x, r = x>>1, r>>1 {
 		if x&1 == 1 {
 			if c < a.offer[x] {
+				if a.offer[x] == noOffer {
+					a.offered = append(a.offered, x)
+				}
 				a.offer[x], a.from[x] = c, u
 				a.best[x] = min(a.best[x], c+a.lo[x])
 			}
@@ -303,6 +377,10 @@ func (a *assigner) pop() int {
 		a.prevR[x-a.size] = u
 	}
 	v := x - a.size
+	if a.distR[v] == noOffer {
+		a.touchedR = append(a.touchedR, v)
+	}
+	a.settled = append(a.settled, v)
 	a.distR[v], a.lo[x], a.best[x] = d, noOffer, noOffer
 	a.fix(x>>1, false)
 	return v
