@@ -317,14 +317,19 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0
 // well-formed Prometheus text whose counters reflect the run.
 func TestMetricsEndpoint(t *testing.T) {
 	ts := newTestServer(t, engine.Options{Workers: 2})
-	var sub api.SubmitResponse
-	do(t, ts.URL+"/v1/jobs", `{"jobs": [
-		{"pattern": {"offsets": [1, 0, 2]}, "agu": {"registers": 1, "modifyRange": 1}},
-		{"pattern": {"offsets": [1, 0, 2]}, "agu": {"registers": 1, "modifyRange": 1}},
-		{"loop": "bad source", "agu": {"registers": 1, "modifyRange": 1}}
-	]}`, &sub)
-	for _, id := range sub.IDs {
-		waitJobDone(t, ts.URL, id)
+	// The repeated pattern is submitted only once the first copy is
+	// done: two identical jobs running at once may both miss the cache
+	// and both solve, and the run must produce a cache hit.
+	const job = `{"pattern": {"offsets": [1, 0, 2]}, "agu": {"registers": 1, "modifyRange": 1}}`
+	for _, body := range []string{
+		`{"jobs": [` + job + `, {"loop": "bad source", "agu": {"registers": 1, "modifyRange": 1}}]}`,
+		`{"jobs": [` + job + `]}`,
+	} {
+		var sub api.SubmitResponse
+		do(t, ts.URL+"/v1/jobs", body, &sub)
+		for _, id := range sub.IDs {
+			waitJobDone(t, ts.URL, id)
+		}
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")

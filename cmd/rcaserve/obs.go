@@ -112,31 +112,22 @@ func (s *server) instrument(next http.Handler) http.Handler {
 		s.obs.httpReqs.Add(1, route, statusText)
 		s.obs.httpHist.Observe(dur, route, statusText)
 
-		// A canceled request (the client went away) may have abandoned
-		// a solve that is still unwinding on a worker recording spans
-		// into this trace — so neither snapshot its span storage nor
-		// recycle it; retain a span-free record from what the
-		// middleware itself knows and leak the trace to the GC.
-		abandoned := ctx.Err() != nil
+		// Every engine submission returns only after its jobs settled,
+		// so no worker records into tr once the handler is back: a
+		// canceled request keeps its spans like any other, and its
+		// error text says the client went away.
 		if captureTrace(status, dur, s.obs.threshold()) {
-			if abandoned {
-				s.obs.ring.Add(&obs.TraceSnapshot{
-					ID: id, Route: route, Status: status,
-					Error:          ctx.Err().Error(),
-					StartedAt:      start,
-					DurationMicros: dur.Microseconds(),
-				})
-			} else {
-				s.obs.ring.Add(tr.Snapshot(route, status, "", dur))
+			errText := ""
+			if err := ctx.Err(); err != nil {
+				errText = err.Error()
 			}
+			s.obs.ring.Add(tr.Snapshot(route, status, errText, dur))
 		}
 		if status >= http.StatusInternalServerError {
 			s.obs.logger.Warn("request failed",
 				"traceId", id, "route", route, "status", status, "durMs", dur.Milliseconds())
 		}
-		if !abandoned {
-			tr.Release()
-		}
+		tr.Release()
 	})
 }
 

@@ -53,7 +53,9 @@ func TestClientCancelFreesWorkerBatch(t *testing.T) {
 // one-worker engine whose every second solve stalls for 300ms: a
 // one-job request, then one of jobs jobs whose client gives up after
 // 40ms while its first job stalls, then a one-job request that must be
-// answered well before the stall would have ended.
+// answered well before the stall would have ended. The given-up
+// request's retained trace must keep its spans, the stalled solve's
+// noted aborted: its handler returned only after the worker unwound.
 func clientCancelFreesWorker(t *testing.T, route string, jobs int) {
 	t.Helper()
 	inj, err := faults.Parse("delay=300ms:2") // only every 2nd solve stalls
@@ -76,6 +78,7 @@ func clientCancelFreesWorker(t *testing.T, route string, jobs int) {
 			t.Fatal(err)
 		}
 		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Request-Id", fmt.Sprintf("client-cancel-%d", first))
 		return http.DefaultClient.Do(req)
 	}
 	canceled := func() float64 {
@@ -118,6 +121,22 @@ func clientCancelFreesWorker(t *testing.T, route string, jobs int) {
 	}
 	if after := canceled(); after <= before {
 		t.Fatalf("rcaserve_engine_canceled_total %v → %v, want it to go up", before, after)
+	}
+
+	// The middleware retains the trace after the handler returns,
+	// which may be after the next request was answered, so poll.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		var dbg debugRequestsJSON
+		getJSON(t, ts.URL+"/debug/requests", &dbg)
+		for _, tr := range dbg.Traces {
+			if tr.ID == "client-cancel-3" {
+				checkAbortedSolve(t, tr)
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no trace for client-cancel-3 in the ring (%d traces)", len(dbg.Traces))
+		}
 	}
 }
 

@@ -193,28 +193,14 @@ func (s *server) runPayload(ctx context.Context, payload any) (any, error) {
 	resp, err := s.runJob(ctx, payload.(api.Job))
 	if tr != nil {
 		dur := tr.Elapsed()
-		// Same rule as the HTTP middleware: a canceled run may leave a
-		// worker still recording into this trace, so neither snapshot
-		// its spans nor recycle it; retain a span-free record instead.
-		abandoned := ctx.Err() != nil
 		if err != nil || dur >= s.obs.threshold() {
 			errText := ""
 			if err != nil {
 				errText = err.Error()
 			}
-			if abandoned {
-				s.obs.ring.Add(&obs.TraceSnapshot{
-					ID: tr.ID(), Route: "job", Error: errText,
-					StartedAt:      time.Now().Add(-dur),
-					DurationMicros: dur.Microseconds(),
-				})
-			} else {
-				s.obs.ring.Add(tr.Snapshot("job", 0, errText, dur))
-			}
+			s.obs.ring.Add(tr.Snapshot("job", 0, errText, dur))
 		}
-		if !abandoned {
-			tr.Release()
-		}
+		tr.Release()
 	}
 	if err != nil {
 		return nil, err

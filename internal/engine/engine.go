@@ -5,10 +5,14 @@
 // canonicalized-pattern result cache and aggregate serving statistics.
 // Jobs — (pattern, configuration) pairs or whole loops — are submitted
 // one at a time with Run and RunLoop, or many at once with RunJobs (or
-// RunBatch, its pattern-only form); either way they funnel through the
-// same pool, so total solver concurrency never exceeds the
+// RunBatch, its pattern-only form). All four are one submission path:
+// Run, RunLoop and RunBatch are calls of RunJobs, so every job funnels
+// through the same pool — total solver concurrency never exceeds the
 // configured worker count regardless of how many callers submit
-// concurrently.
+// concurrently — and every submission returns only after its jobs
+// have settled. A canceled context makes the workers unwind promptly
+// (see below); it never makes a submission return while a worker
+// still holds the caller's context or records into its trace.
 //
 // Identical access patterns are common across the loops of real DSP
 // programs (the same FIR tap structure appears in every filter), so the
@@ -148,8 +152,7 @@ const (
 
 // task is one queued unit of work, passed to a worker by value — no
 // per-job closure or goroutine is allocated. The worker writes the
-// result through out/loopOut, then signals wg (RunJobs) or closes
-// done (Run and RunLoop).
+// result through out/loopOut, then signals wg.
 type task struct {
 	ctx     context.Context
 	kind    taskKind
@@ -158,11 +161,10 @@ type task struct {
 	out     *JobResult
 	loopOut *LoopJobResult
 	wg      *sync.WaitGroup
-	done    chan struct{}
-	// enqueued is the submission time, set on every submission path:
-	// the worker turns (dequeue - enqueued) into the queue-wait signal
-	// the shed controller runs on, and — when ctx carries an obs.Trace
-	// — into an "engine.queue" span.
+	// enqueued is the submission time, stamped by RunJobs: the worker
+	// turns (dequeue - enqueued) into the queue-wait signal the shed
+	// controller runs on, and — when ctx carries an obs.Trace — into
+	// an "engine.queue" span.
 	enqueued time.Time
 }
 
@@ -237,22 +239,11 @@ func (e *Engine) enqueue(t task) error {
 	}
 }
 
-// Run submits one job and waits for its result. It returns early with
-// an error result if ctx is canceled while the job is still queued or
-// solving (the abandoned worker frees itself cooperatively).
+// Run submits one job and waits until it has settled; it is RunJobs
+// with a single pattern job.
 func (e *Engine) Run(ctx context.Context, req Request) JobResult {
-	res := new(JobResult)
-	done := make(chan struct{})
-	t := task{ctx: ctx, kind: taskPattern, req: req, out: res, done: done, enqueued: time.Now()}
-	if err := e.enqueue(t); err != nil {
-		return JobResult{Err: err}
-	}
-	select {
-	case <-done:
-		return *res
-	case <-ctx.Done():
-		return JobResult{Err: ctx.Err()}
-	}
+	out, _ := e.RunJobs(ctx, []Request{req}, nil)
+	return out[0]
 }
 
 // RunBatch submits every job and waits for all of them, returning
@@ -265,15 +256,17 @@ func (e *Engine) RunBatch(ctx context.Context, reqs []Request) []JobResult {
 // RunJobs submits a batch of pattern and whole-loop jobs and waits for
 // all of them, returning each kind's results in its job order.
 // Individual failures are reported per job; the batch itself never
-// fails. Unlike Run, a canceled context does not return before every
+// fails. A canceled context does not make RunJobs return before every
 // accepted job has settled — workers settle canceled jobs promptly via
 // cooperative cancellation, and jobs not yet accepted fail at once
 // with the context's error — so the returned slices are always fully
-// owned by the caller.
+// owned by the caller, and no worker records into the caller's trace
+// after RunJobs returns.
 //
-// This is the one batch submission loop: tasks go to the pool by
-// value against one WaitGroup and one result slice per kind, with no
-// per-job closure, channel or result box.
+// This is the engine's one submission loop (Run, RunLoop and RunBatch
+// all call it): tasks go to the pool by value against one WaitGroup
+// and one result slice per kind, with no per-job closure, channel or
+// result box.
 func (e *Engine) RunJobs(ctx context.Context, reqs []Request, loops []LoopRequest) ([]JobResult, []LoopJobResult) {
 	out, loopOut := make([]JobResult, len(reqs)), make([]LoopJobResult, len(loops))
 	var wg sync.WaitGroup
@@ -353,15 +346,13 @@ const shedSampleMask = 7
 // tick is the calling worker's local dequeue counter (contention-free
 // sampling).
 func (e *Engine) runTask(solver *core.Solver, t task, tick uint) {
-	if !t.enqueued.IsZero() {
-		if tr := obs.FromContext(t.ctx); tr != nil {
-			now := time.Now()
-			e.shed.observe(now.Sub(t.enqueued), now)
-			tr.AddSpan("engine.queue", t.enqueued, now)
-		} else if tick&shedSampleMask == 0 {
-			now := time.Now()
-			e.shed.observe(now.Sub(t.enqueued), now)
-		}
+	if tr := obs.FromContext(t.ctx); tr != nil {
+		now := time.Now()
+		e.shed.observe(now.Sub(t.enqueued), now)
+		tr.AddSpan("engine.queue", t.enqueued, now)
+	} else if tick&shedSampleMask == 0 {
+		now := time.Now()
+		e.shed.observe(now.Sub(t.enqueued), now)
 	}
 	switch t.kind {
 	case taskPattern:
@@ -369,12 +360,7 @@ func (e *Engine) runTask(solver *core.Solver, t task, tick uint) {
 	case taskLoop:
 		*t.loopOut = e.processLoop(t.ctx, solver, t.loop)
 	}
-	if t.wg != nil {
-		t.wg.Done()
-	}
-	if t.done != nil {
-		close(t.done)
-	}
+	t.wg.Done()
 }
 
 // processPattern runs one single-pattern job on a worker goroutine:

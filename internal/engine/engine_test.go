@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -446,10 +445,14 @@ func TestJobTimeout(t *testing.T) {
 // for solves that ignore their cancellation context: such a solve
 // keeps its worker busy (solves only ever run on the worker that
 // dequeued the job), so later jobs cannot pile extra solves on top of
-// it.
+// it. It also pins the submission contract: the Run whose job holds
+// the worker returns only after its solve has returned, even though
+// its context expired long before.
 func TestTimeoutKeepsWorkerOccupied(t *testing.T) {
 	e := New(Options{Workers: 1, JobTimeout: time.Millisecond, CacheSize: -1})
-	var concurrent, peak atomic.Int64
+	var concurrent, peak, solved atomic.Int64
+	var returned atomic.Bool
+	errBlocked := errors.New("solver blocked for the test")
 	block := make(chan struct{})
 	e.solve = func(ctx context.Context, s *core.Solver, r Request) (*core.Result, error) {
 		n := concurrent.Add(1)
@@ -461,7 +464,8 @@ func TestTimeoutKeepsWorkerOccupied(t *testing.T) {
 		}
 		<-block
 		concurrent.Add(-1)
-		return nil, fmt.Errorf("solver blocked for the test")
+		returned.Store(true)
+		return nil, errBlocked
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
@@ -471,16 +475,28 @@ func TestTimeoutKeepsWorkerOccupied(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if res := e.Run(ctx, testRequest(i, i+1)); res.Err == nil {
+			res := e.Run(ctx, testRequest(i, i+1))
+			switch {
+			case res.Err == nil:
 				t.Error("blocked solve reported success")
+			case errors.Is(res.Err, errBlocked):
+				solved.Add(1)
+				if !returned.Load() {
+					t.Error("Run returned before its solve did")
+				}
 			}
 		}(i)
 	}
-	wg.Wait()
+	// Hold the solve past its job's deadline and its caller's context.
+	<-ctx.Done()
 	close(block)
+	wg.Wait()
 	e.Close()
 	if p := peak.Load(); p != 1 {
 		t.Fatalf("peak concurrent solves %d, want 1 — timed-out jobs must not stack solves", p)
+	}
+	if n := solved.Load(); n != 1 {
+		t.Fatalf("%d Runs returned the blocked solve's error, want 1 — the Run holding the worker must wait for its solve", n)
 	}
 }
 

@@ -53,22 +53,11 @@ type LoopJobResult struct {
 	Elapsed time.Duration
 }
 
-// RunLoop submits one whole-loop job and waits for its result. It
-// returns early with an error result if ctx is canceled while the job
-// is still queued or solving.
+// RunLoop submits one whole-loop job and waits until it has settled;
+// it is RunJobs with a single loop job.
 func (e *Engine) RunLoop(ctx context.Context, req LoopRequest) LoopJobResult {
-	res := new(LoopJobResult)
-	done := make(chan struct{})
-	t := task{ctx: ctx, kind: taskLoop, loop: req, loopOut: res, done: done, enqueued: time.Now()}
-	if err := e.enqueue(t); err != nil {
-		return LoopJobResult{Err: err}
-	}
-	select {
-	case <-done:
-		return *res
-	case <-ctx.Done():
-		return LoopJobResult{Err: ctx.Err()}
-	}
+	_, out := e.RunJobs(ctx, nil, []LoopRequest{req})
+	return out[0]
 }
 
 // processLoop runs one whole-loop job on a worker goroutine.

@@ -55,8 +55,10 @@ type Span struct {
 // one atomic increment (concurrent recording from batch worker
 // goroutines is expected); each reserved slot is then written
 // lock-free by its holder. Snapshot and Release must only be called
-// once every recording goroutine has finished — HTTP handlers
-// guarantee that by joining their workers before returning.
+// once every recording goroutine has finished. Every engine
+// submission returns only after its jobs have settled, canceled ones
+// included, so a handler or async runner that has returned has no
+// worker left recording into its trace.
 type Trace struct {
 	id    string
 	start time.Time
@@ -79,10 +81,8 @@ func NewTrace(id string) *Trace {
 	return t
 }
 
-// Release returns the trace to the pool. Callers must not release a
-// trace that another goroutine may still record into (an abandoned
-// solve unwinding cooperatively); in that rare case skip Release and
-// let the GC take the trace.
+// Release returns the trace to the pool. Like Snapshot, it must come
+// after every recording goroutine has finished.
 func (t *Trace) Release() {
 	if t == nil {
 		return
