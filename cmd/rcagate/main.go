@@ -11,7 +11,9 @@
 // later ring movements. /v1/stats and /metrics aggregate across the
 // fleet; /healthz answers 200 while any node is up.
 //
-// Nodes must run with -node-id matching their name in -nodes.
+// Nodes must run with -node-id matching their name in -nodes. Each
+// node URL is plain http://host:port, with no path, query or userinfo:
+// the gateway keeps a pool of HTTP/1.1 connections to each node.
 //
 // Usage:
 //

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strconv"
+	"time"
 	"unicode/utf8"
 )
 
@@ -351,8 +353,175 @@ func appendFast(b []byte, v any) (out []byte, ok bool) {
 		return v.appendJSON(b), true
 	case BatchResponse:
 		return v.appendJSON(b), true
+	case JobStatus:
+		if out, ok := v.appendJSON(b); ok {
+			return out, true
+		}
+	case SubmitResponse:
+		return v.appendJSON(b), true
+	case Job:
+		return v.appendJSON(b), true
 	}
 	return b, false
+}
+
+// appendKey appends an object member's quoted key and colon, after a
+// comma unless it is the first member of the object whose '{' ends at
+// start.
+func appendKey(b []byte, start int, key string) []byte {
+	if len(b) > start {
+		b = append(b, ',')
+	}
+	return append(b, key...)
+}
+
+// appendJSON appends the job's compact JSON, as json.Marshal writes it
+// (map keys sorted).
+func (j *Job) appendJSON(b []byte) []byte {
+	b = append(b, '{')
+	start := len(b)
+	if p := j.Pattern; p != nil {
+		b = append(b, `"pattern":{`...)
+		ps := len(b)
+		if p.Array != "" {
+			b = appendKey(b, ps, `"array":`)
+			b = appendString(b, p.Array)
+		}
+		if p.Stride != 0 {
+			b = appendKey(b, ps, `"stride":`)
+			b = strconv.AppendInt(b, int64(p.Stride), 10)
+		}
+		b = appendKey(b, ps, `"offsets":`)
+		b = appendInts(b, p.Offsets)
+		b = append(b, '}')
+	}
+	if j.Loop != "" {
+		b = appendKey(b, start, `"loop":`)
+		b = appendString(b, j.Loop)
+	}
+	if len(j.Bindings) > 0 {
+		b = appendKey(b, start, `"bindings":{`)
+		names := make([]string, 0, len(j.Bindings))
+		for k := range j.Bindings {
+			names = append(names, k)
+		}
+		slices.Sort(names)
+		for i, k := range names {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, k)
+			b = append(b, ':')
+			b = strconv.AppendInt(b, int64(j.Bindings[k]), 10)
+		}
+		b = append(b, '}')
+	}
+	b = appendKey(b, start, `"agu":{"registers":`)
+	b = strconv.AppendInt(b, int64(j.AGU.Registers), 10)
+	b = append(b, `,"modifyRange":`...)
+	b = strconv.AppendInt(b, int64(j.AGU.ModifyRange), 10)
+	b = append(b, '}')
+	if j.Wrap {
+		b = append(b, `,"wrap":true`...)
+	}
+	if j.Strategy != "" {
+		b = append(b, `,"strategy":`...)
+		b = appendString(b, j.Strategy)
+	}
+	if j.Report {
+		b = append(b, `,"report":true`...)
+	}
+	return append(b, '}')
+}
+
+// appendJSON appends the 202 body's compact JSON, as json.Marshal
+// writes it.
+func (r *SubmitResponse) appendJSON(b []byte) []byte {
+	b = append(b, '{')
+	if r.ID != "" {
+		b = append(b, `"id":`...)
+		b = appendString(b, r.ID)
+		b = append(b, ',')
+	}
+	b = append(b, `"ids":`...)
+	if r.IDs == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, id := range r.IDs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, id)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
+}
+
+// appendJSON appends the job status's compact JSON, as json.Marshal
+// writes it; ok is false when a time is one json.Marshal refuses.
+func (s *JobStatus) appendJSON(b []byte) (out []byte, ok bool) {
+	b = append(b, `{"id":`...)
+	b = appendString(b, s.ID)
+	b = append(b, `,"state":`...)
+	b = appendString(b, s.State)
+	b = append(b, `,"priority":`...)
+	b = strconv.AppendInt(b, int64(s.Priority), 10)
+	b = append(b, `,"submittedAt":`...)
+	if b, ok = appendTime(b, s.SubmittedAt); !ok {
+		return b, false
+	}
+	if s.StartedAt != nil {
+		b = append(b, `,"startedAt":`...)
+		if b, ok = appendTime(b, *s.StartedAt); !ok {
+			return b, false
+		}
+	}
+	if s.FinishedAt != nil {
+		b = append(b, `,"finishedAt":`...)
+		if b, ok = appendTime(b, *s.FinishedAt); !ok {
+			return b, false
+		}
+	}
+	b = append(b, `,"queueWaitMicros":`...)
+	b = strconv.AppendInt(b, s.QueueWaitMicros, 10)
+	b = append(b, `,"runMicros":`...)
+	b = strconv.AppendInt(b, s.RunMicros, 10)
+	if s.Error != "" {
+		b = append(b, `,"error":`...)
+		b = appendString(b, s.Error)
+	}
+	if s.Result != nil {
+		b = append(b, `,"result":`...)
+		b = s.Result.appendJSON(b)
+	}
+	if s.TraceID != "" {
+		b = append(b, `,"traceId":`...)
+		b = appendString(b, s.TraceID)
+	}
+	return append(b, '}'), true
+}
+
+// appendTime appends t quoted in RFC 3339 with nanoseconds, as
+// time.Time.MarshalJSON writes it. Like MarshalJSON it refuses (ok
+// false) a year outside [0,9999] and a zone offset of 24 hours or
+// more, which RFC 3339 cannot express.
+func appendTime(b []byte, t time.Time) (out []byte, ok bool) {
+	b = append(b, '"')
+	start := len(b)
+	b = t.AppendFormat(b, time.RFC3339Nano)
+	switch {
+	case b[start+len("9999")] != '-':
+		return b, false
+	case b[len(b)-1] != 'Z':
+		c := b[len(b)-len("Z07:00")]
+		hh := b[len(b)-len("07:00"):]
+		if '0' <= c && c <= '9' || 10*(hh[0]-'0')+(hh[1]-'0') >= 24 {
+			return b, false
+		}
+	}
+	return append(b, '"'), true
 }
 
 // appendJSON appends the allocation's compact JSON: the bytes

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // wireZeros make the zero request values the one-pass reader decodes.
@@ -190,7 +191,8 @@ func randomBatchResponse(rng *rand.Rand) BatchResponse {
 
 // TestAppendJSONMatchesEncoder: the one-pass encoder writes exactly
 // what encoding/json writes, on the wire (json.Encoder.Encode, with
-// its newline) and in the WAL (json.Marshal).
+// its newline) and in the WAL (json.Marshal), and declines what
+// encoding/json refuses.
 func TestAppendJSONMatchesEncoder(t *testing.T) {
 	encode := func(v any) []byte {
 		var buf bytes.Buffer
@@ -228,6 +230,120 @@ func TestAppendJSONMatchesEncoder(t *testing.T) {
 			}
 		}
 	}
+
+	// The async path: WAL job payloads, 202 bodies and job statuses,
+	// whose times json.Marshal refuses outside RFC 3339's range.
+	for i := 0; i < 2000; i++ {
+		job := randomJob(rng)
+		switch {
+		case job.Pattern != nil && rng.Intn(4) == 0:
+			job.Pattern.Offsets = nil
+		case job.Bindings == nil && rng.Intn(4) == 0:
+			job.Bindings = map[string]int{}
+		}
+		check(job, job.appendJSON(nil))
+		sub := randomSubmitResponse(rng)
+		check(sub, sub.appendJSON(nil))
+	}
+	var accepted, refused int
+	for i := 0; i < 4000; i++ {
+		st := randomJobStatus(rng)
+		appended, ok := st.appendJSON(nil)
+		if _, err := json.Marshal(st); err != nil {
+			refused++
+			if ok {
+				t.Fatalf("appendJSON accepts %+v, which json.Marshal refuses: %v", st, err)
+			}
+			if b, ok := appendFast([]byte("x"), st); ok || string(b) != "x" {
+				t.Fatalf("appendFast of %+v = %q, %v; want it declined with the buffer untouched", st, b, ok)
+			}
+			if _, err := EncodeRecord(st); err == nil {
+				t.Fatalf("EncodeRecord of %+v succeeded, json.Marshal refuses it", st)
+			}
+			continue
+		}
+		accepted++
+		if !ok {
+			t.Fatalf("appendJSON refuses %+v, which json.Marshal encodes", st)
+		}
+		check(st, appended)
+	}
+	if accepted < 1000 || refused < 100 {
+		t.Fatalf("%d statuses accepted and %d refused: the draw misses a side", accepted, refused)
+	}
+}
+
+// randomSubmitResponse draws a 202 body: with and without the single
+// ID, nil, empty and filled ID lists.
+func randomSubmitResponse(rng *rand.Rand) SubmitResponse {
+	var r SubmitResponse
+	if rng.Intn(2) == 0 {
+		r.ID = randomString(rng, responsePieces)
+	}
+	if n := rng.Intn(5); n > 0 {
+		r.IDs = make([]string, n-1)
+		for i := range r.IDs {
+			r.IDs[i] = randomString(rng, responsePieces)
+		}
+	}
+	return r
+}
+
+// statusTimes are the instants a job status carries: zero, whole and
+// fractional seconds in UTC, local and odd zones, the ends of RFC
+// 3339's range, and times past them that time.Time.MarshalJSON
+// refuses (a year outside [0,9999], a zone offset of 24 hours or
+// more).
+var statusTimes = []time.Time{
+	{},
+	time.Unix(0, 0).UTC(),
+	time.Date(2026, 10, 19, 22, 56, 45, 0, time.UTC),
+	time.Date(2026, 10, 19, 22, 56, 45, 120000000, time.UTC),
+	time.Date(2026, 10, 19, 22, 56, 45, 123456789, time.Local),
+	time.Date(2026, 1, 2, 3, 4, 5, 6, time.FixedZone("", 5*3600+30*60)),
+	time.Date(2026, 1, 2, 3, 4, 5, 6000, time.FixedZone("X", -(23*3600+59*60))),
+	time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC),
+	time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC),
+	time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC),
+	time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC),
+	time.Date(2026, 1, 2, 3, 4, 5, 0, time.FixedZone("", 24*3600)),
+	time.Date(2026, 1, 2, 3, 4, 5, 0, time.FixedZone("", -100*3600)),
+}
+
+// randomJobStatus draws a job status over the whole shape: the times
+// above, absent and present optional times, error text with escapes
+// and a nil or filled result.
+func randomJobStatus(rng *rand.Rand) JobStatus {
+	str := func() string { return randomString(rng, responsePieces) }
+	when := func() time.Time {
+		// Mostly in range, so both outcomes of a draw are common.
+		if rng.Intn(4) == 0 {
+			return statusTimes[rng.Intn(len(statusTimes))]
+		}
+		return statusTimes[rng.Intn(len(statusTimes)-4)]
+	}
+	st := JobStatus{
+		ID: str(), State: str(), Priority: rng.Intn(21) - 10, SubmittedAt: when(),
+		QueueWaitMicros: rng.Int63n(1 << 40), RunMicros: rng.Int63() - 1<<62,
+	}
+	if rng.Intn(2) == 0 {
+		t := when()
+		st.StartedAt = &t
+	}
+	if rng.Intn(2) == 0 {
+		t := when()
+		st.FinishedAt = &t
+	}
+	if rng.Intn(2) == 0 {
+		st.Error = str()
+	}
+	if resp := randomBatchResponse(rng); len(resp.Results) > 0 {
+		st.Result = &resp.Results[0]
+	}
+	if rng.Intn(2) == 0 {
+		st.TraceID = str()
+	}
+	return st
 }
 
 // TestDecodeIntoNonZeroMerges: decoding into a value that is already

@@ -14,6 +14,7 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"strings"
@@ -37,6 +38,10 @@ type Member struct {
 	Name string
 	// URL is the node's base URL, e.g. "http://127.0.0.1:8081".
 	URL string
+
+	// host and addr are URL's Host header value and dial address,
+	// filled by NewFleet.
+	host, addr string
 
 	up    atomic.Bool
 	fails atomic.Int32 // consecutive failures since the last success
@@ -124,7 +129,9 @@ type Fleet struct {
 
 // ParseMembers parses the -nodes flag grammar:
 // "name1=http://host:port,name2=http://host:port". Names must be the
-// nodes' -node-id values.
+// nodes' -node-id values. A URL must be plain http with no path (a
+// trailing slash is dropped), query, fragment or userinfo: the
+// forwarding pool dials host:port and speaks HTTP/1.1.
 func ParseMembers(spec string) ([]Member, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("cluster: empty node list")
@@ -139,11 +146,11 @@ func ParseMembers(spec string) ([]Member, error) {
 		if !ok || name == "" || rawURL == "" {
 			return nil, fmt.Errorf("cluster: bad node entry %q (want name=url)", part)
 		}
-		u, err := url.Parse(rawURL)
-		if err != nil || u.Scheme == "" || u.Host == "" {
-			return nil, fmt.Errorf("cluster: bad node URL %q", rawURL)
+		rawURL = strings.TrimRight(rawURL, "/")
+		if _, _, err := memberAddr(rawURL); err != nil {
+			return nil, err
 		}
-		out = append(out, Member{Name: name, URL: strings.TrimRight(rawURL, "/")})
+		out = append(out, Member{Name: name, URL: rawURL})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("cluster: empty node list")
@@ -151,10 +158,28 @@ func ParseMembers(spec string) ([]Member, error) {
 	return out, nil
 }
 
+// memberAddr checks a member URL the forwarding pool can serve —
+// plain http to a host, with no path, query, fragment or userinfo —
+// and returns its Host header value and dial address (port 80 when
+// the URL names none).
+func memberAddr(rawURL string) (host, addr string, err error) {
+	u, err := url.Parse(rawURL)
+	if err != nil || u.Scheme != "http" || u.Host == "" || u.Opaque != "" || u.User != nil ||
+		u.Path != "" || u.RawQuery != "" || u.ForceQuery || u.Fragment != "" {
+		return "", "", fmt.Errorf("cluster: bad node URL %q (want http://host:port)", rawURL)
+	}
+	addr = u.Host
+	if u.Port() == "" {
+		addr = net.JoinHostPort(u.Hostname(), "80")
+	}
+	return u.Host, addr, nil
+}
+
 // NewFleet builds the fleet and its ring. Members start up — the
 // static config is trusted until a probe or forward says otherwise —
 // and the first probe round runs immediately on Start. The caller
-// must Stop the fleet to release the checker.
+// must Stop the fleet to release the checker. Every member URL must
+// pass ParseMembers' check.
 func NewFleet(members []Member, opts FleetOptions) (*Fleet, error) {
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = DefaultProbeInterval
@@ -191,6 +216,9 @@ func NewFleet(members []Member, opts FleetOptions) (*Fleet, error) {
 	}
 	for i := range members {
 		m := &Member{Name: members[i].Name, URL: members[i].URL}
+		if m.host, m.addr, err = memberAddr(m.URL); err != nil {
+			return nil, err
+		}
 		m.up.Store(true)
 		// The hook is read through f.opts at fire time, so a gateway
 		// that installs OnBreakerTransition after NewFleet still hears

@@ -16,7 +16,15 @@ func TestParseMembers(t *testing.T) {
 	if len(ms) != 2 || ms[0].Name != "n1" || ms[1].URL != "http://127.0.0.1:8082" {
 		t.Fatalf("parsed %+v", ms)
 	}
-	for _, bad := range []string{"", "n1", "n1=", "=http://x", "n1=not a url", "n1=hostonly"} {
+	for _, bad := range []string{
+		"", "n1", "n1=", "=http://x", "n1=not a url", "n1=hostonly",
+		// What the forwarding pool cannot serve: TLS or another
+		// scheme, a path, a query, a fragment, userinfo.
+		"n1=https://127.0.0.1:8081", "n1=ftp://127.0.0.1:8081",
+		"n1=http://127.0.0.1:8081/v1", "n1=http://127.0.0.1:8081/prefix/",
+		"n1=http://127.0.0.1:8081?x=1", "n1=http://127.0.0.1:8081?",
+		"n1=http://127.0.0.1:8081#top", "n1=http://user:pw@127.0.0.1:8081", "n1=http://user@127.0.0.1:8081",
+	} {
 		if _, err := ParseMembers(bad); err == nil {
 			t.Fatalf("spec %q accepted", bad)
 		}

@@ -635,7 +635,7 @@ func (g *Gateway) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusServiceUnavailable, "job %s: owning node %s is down", id, tag)
 		return
 	}
-	resp, err := g.fwd.do(r.Context(), m, r.Method, "/v1/jobs/"+id, nil, r.Header)
+	resp, err := g.fwd.do(r.Context(), m, r.Method, "/v1/jobs/"+url.PathEscape(id), nil, r.Header)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return

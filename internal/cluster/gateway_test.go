@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -93,7 +94,7 @@ func (n *fakeNode) requestID() string {
 
 // newTestGateway stands a gateway in front of the fake nodes. Probes
 // are slowed to a crawl so tests control liveness by hand.
-func newTestGateway(t *testing.T, nodes ...*fakeNode) (*Gateway, *httptest.Server) {
+func newTestGateway(t testing.TB, nodes ...*fakeNode) (*Gateway, *httptest.Server) {
 	t.Helper()
 	members := make([]Member, len(nodes))
 	for i, n := range nodes {
@@ -343,6 +344,20 @@ func TestGatewayJobByIDTagRouting(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"node":"n2"`) {
 		t.Fatalf("tagged lookup: status %d body %s", resp.StatusCode, body)
+	}
+	// An ID holding bytes a path must escape reaches its owner as the
+	// client sent it.
+	for _, raw := range []string{"j-n2-a%25b-00000007", "j-n2-a%0Ab-00000007", "j-n2-a%20b-00000007"} {
+		resp, err := http.Get(srv.URL + "/v1/jobs/" + raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		id, _ := url.PathUnescape(raw)
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), fmt.Sprintf(`{"id":%q,`, id)) {
+			t.Fatalf("lookup %s: status %d body %s", raw, resp.StatusCode, body)
+		}
 	}
 
 	for _, id := range []string{"j-abcd0123-00000007", "j-nX-abcd0123-00000007"} {
